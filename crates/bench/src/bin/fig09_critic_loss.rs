@@ -25,7 +25,7 @@ fn main() {
 
     let mut rows = vec![csv_row!["round", "loss_before_aggregation", "loss_after_aggregation"]];
     let mut worse = 0;
-    for p in &runner.loss_probes {
+    for p in runner.loss_probes() {
         rows.push(csv_row![
             p.round,
             format!("{:.4}", p.loss_before),
@@ -38,6 +38,6 @@ fn main() {
     emit("fig09_critic_loss", &rows);
     eprintln!(
         "# aggregation worsened the critic in {worse}/{} rounds (paper: consistently worse)",
-        runner.loss_probes.len()
+        runner.loss_probes().len()
     );
 }

@@ -1,8 +1,8 @@
 //! Uniform experiment driver over the four algorithms.
 
 use pfrl_fed::{
-    AttackPlan, ClientSetup, FaultPlan, FedAvgRunner, FedConfig, FedError, FederatedRunner,
-    IndependentRunner, MfpoRunner, PfrlDmRunner, PolicySnapshot, RobustConfig, TrainingCurves,
+    AttackPlan, ClientSetup, FaultPlan, FedAvg, FedConfig, FedError, FederatedRunner, Federation,
+    Independent, Mfpo, PfrlDm, PolicySnapshot, RobustConfig, Strategy, TrainingCurves,
 };
 use pfrl_rl::PpoConfig;
 use pfrl_scenario::ScenarioBinding;
@@ -234,22 +234,29 @@ pub fn run_federation_with_options(
     (curves, TrainedFederation::new(algorithm, runner))
 }
 
-/// Applies the post-construction builders shared by all four runners.
-macro_rules! configured {
-    ($runner:expr, $telemetry:expr, $options:expr) => {{
-        let mut r = $runner
-            .with_telemetry($telemetry)
-            .with_fault_plan($options.fault_plan)
-            .with_attack_plan($options.attack_plan)
-            .with_robust_aggregator($options.robust);
-        if let Some(binding) = &$options.scenario {
-            r = r.with_scenario(binding);
-        }
-        if let Some(pools) = &$options.workflows {
-            r = r.with_workflows(pools.clone(), $options.workflows_per_episode);
-        }
-        Box::new(r)
-    }};
+/// Builds strategy `S`'s federation with every [`RunOptions`] knob applied.
+#[allow(clippy::too_many_arguments)]
+fn configured<S: Strategy + Default>(
+    setups: Vec<ClientSetup>,
+    dims: EnvDims,
+    env_cfg: EnvConfig,
+    ppo_cfg: PpoConfig,
+    fed_cfg: FedConfig,
+    telemetry: Telemetry,
+    options: &RunOptions,
+) -> Box<dyn FederatedRunner> {
+    let mut r = Federation::<S>::new(setups, dims, env_cfg, ppo_cfg, fed_cfg)
+        .with_telemetry(telemetry)
+        .with_fault_plan(options.fault_plan)
+        .with_attack_plan(options.attack_plan)
+        .with_robust_aggregator(options.robust);
+    if let Some(binding) = &options.scenario {
+        r = r.with_scenario(binding);
+    }
+    if let Some(pools) = &options.workflows {
+        r = r.with_workflows(pools.clone(), options.workflows_per_episode);
+    }
+    Box::new(r)
 }
 
 /// Constructs the requested runner behind the uniform trait. This is the
@@ -266,30 +273,13 @@ fn build_runner(
     telemetry: Telemetry,
     options: &RunOptions,
 ) -> Box<dyn FederatedRunner> {
-    match algorithm {
-        Algorithm::PfrlDm => configured!(
-            PfrlDmRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-            telemetry,
-            options
-        ),
-        Algorithm::FedAvg => configured!(
-            FedAvgRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-            telemetry,
-            options
-        ),
-        Algorithm::Mfpo => {
-            configured!(
-                MfpoRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-                telemetry,
-                options
-            )
-        }
-        Algorithm::Ppo => configured!(
-            IndependentRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-            telemetry,
-            options
-        ),
-    }
+    let build = match algorithm {
+        Algorithm::PfrlDm => configured::<PfrlDm>,
+        Algorithm::FedAvg => configured::<FedAvg>,
+        Algorithm::Mfpo => configured::<Mfpo>,
+        Algorithm::Ppo => configured::<Independent>,
+    };
+    build(setups, dims, env_cfg, ppo_cfg, fed_cfg, telemetry, options)
 }
 
 /// Where and how often a resumable run checkpoints its federation state.

@@ -1,7 +1,7 @@
-//! Binary round-checkpoint codec shared by the federation runners.
+//! Binary round-checkpoint codec of [`crate::Federation`].
 //!
-//! Every runner exposes `checkpoint_bytes()` / `restore_checkpoint()` built
-//! on the little-endian [`Writer`]/[`Reader`] pair here, so a killed run can
+//! `Federation::checkpoint_bytes()` / `restore_checkpoint()` frame every
+//! strategy's state with the little-endian [`Writer`]/[`Reader`] pair here, so a killed run can
 //! resume mid-schedule and finish with *bit-identical* curves. The format
 //! mirrors `pfrl-nn`'s model checkpoint (magic + version prefix, strict
 //! length checks, `io::Error` on any malformed input) but additionally
@@ -10,8 +10,8 @@
 //! silent divergence.
 
 use crate::fault::ClientFault;
-use pfrl_nn::AdamState;
-use pfrl_rl::{BufferSnapshot, DualAgentSnapshot, PpoAgentSnapshot};
+use pfrl_nn::{validate_params, AdamState, Mlp};
+use pfrl_rl::{BufferSnapshot, DualAgentSnapshot, DualCriticAgent, PpoAgent, PpoAgentSnapshot};
 use pfrl_tensor::Matrix;
 use std::collections::VecDeque;
 use std::io;
@@ -24,18 +24,18 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// Little-endian byte sink for checkpoint encoding.
-pub(crate) struct Writer {
+pub struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_magic(MAGIC)
     }
 
     /// A writer for a different container format sharing the same
     /// primitive encoding (e.g. the policy-snapshot codec).
-    pub fn with_magic(magic: &[u8]) -> Self {
+    pub(crate) fn with_magic(magic: &[u8]) -> Self {
         Self { buf: magic.to_vec() }
     }
 
@@ -106,25 +106,25 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    pub fn finish(self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
 /// Strict little-endian reader for checkpoint decoding.
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Opens a checkpoint, verifying the magic/version prefix.
-    pub fn new(data: &'a [u8]) -> io::Result<Self> {
+    pub(crate) fn new(data: &'a [u8]) -> io::Result<Self> {
         Self::with_magic(data, MAGIC)
     }
 
     /// Opens a container with a caller-supplied magic/version prefix.
-    pub fn with_magic(data: &'a [u8], magic: &[u8]) -> io::Result<Self> {
+    pub(crate) fn with_magic(data: &'a [u8], magic: &[u8]) -> io::Result<Self> {
         if data.len() < magic.len() || &data[..magic.len()] != magic {
             return Err(bad("bad magic (wrong container format or version)"));
         }
@@ -203,8 +203,14 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.bool()).collect()
     }
 
+    /// An RNG cursor; the all-zero state is rejected (xoshiro never
+    /// reaches it, and it cannot seed a generator).
     pub fn rng_state(&mut self) -> io::Result<[u64; 4]> {
-        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
+        let s = [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
+        if s == [0; 4] {
+            return Err(bad("all-zero RNG state"));
+        }
+        Ok(s)
     }
 
     pub fn str(&mut self) -> io::Result<String> {
@@ -214,7 +220,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Asserts the whole checkpoint was consumed.
-    pub fn finish(self) -> io::Result<()> {
+    pub(crate) fn finish(self) -> io::Result<()> {
         if self.pos != self.data.len() {
             return Err(bad(format!("{} trailing bytes", self.data.len() - self.pos)));
         }
@@ -226,7 +232,7 @@ impl<'a> Reader<'a> {
 /// state is loaded into a runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fingerprint {
-    /// Runner discriminant (each runner module picks a distinct tag).
+    /// Strategy discriminant ([`crate::Strategy::TAG`]).
     pub algo: u8,
     /// Federation seed.
     pub seed: u64,
@@ -269,14 +275,34 @@ impl Fingerprint {
     }
 }
 
+/// Rejects a decoded length that disagrees with the live federation.
+fn check_len(what: &str, got: usize, want: usize) -> io::Result<()> {
+    if got != want {
+        return Err(bad(format!("{what}: {got} values where the federation holds {want}")));
+    }
+    Ok(())
+}
+
+/// Reads a parameter vector that must hold exactly `want` finite values.
+pub(crate) fn read_params(r: &mut Reader<'_>, what: &str, want: usize) -> io::Result<Vec<f32>> {
+    let params = r.vec_f32()?;
+    check_len(what, params.len(), want)?;
+    validate_params(&params).map_err(|fault| bad(format!("{what}: {fault}")))?;
+    Ok(params)
+}
+
 pub(crate) fn write_adam(w: &mut Writer, s: &AdamState) {
     w.vec_f32(&s.m);
     w.vec_f32(&s.v);
     w.u64(s.t);
 }
 
-pub(crate) fn read_adam(r: &mut Reader<'_>) -> io::Result<AdamState> {
-    Ok(AdamState { m: r.vec_f32()?, v: r.vec_f32()?, t: r.u64()? })
+/// Reads Adam moments for a network of `n` parameters.
+fn read_adam(r: &mut Reader<'_>, n: usize) -> io::Result<AdamState> {
+    let s = AdamState { m: r.vec_f32()?, v: r.vec_f32()?, t: r.u64()? };
+    check_len("Adam first moments", s.m.len(), n)?;
+    check_len("Adam second moments", s.v.len(), n)?;
+    Ok(s)
 }
 
 pub(crate) fn write_buffer(w: &mut Writer, b: &BufferSnapshot) {
@@ -290,8 +316,10 @@ pub(crate) fn write_buffer(w: &mut Writer, b: &BufferSnapshot) {
     w.vec_bool(&b.masks);
 }
 
-pub(crate) fn read_buffer(r: &mut Reader<'_>) -> io::Result<BufferSnapshot> {
-    Ok(BufferSnapshot {
+/// Reads a rollout buffer filled by `actor`: its state and mask widths,
+/// per-transition vectors of one length, and in-range actions.
+fn read_buffer(r: &mut Reader<'_>, actor: &Mlp) -> io::Result<BufferSnapshot> {
+    let b = BufferSnapshot {
         state_dim: r.usize()?,
         mask_dim: r.usize()?,
         states: r.vec_f32()?,
@@ -300,7 +328,25 @@ pub(crate) fn read_buffer(r: &mut Reader<'_>) -> io::Result<BufferSnapshot> {
         old_log_probs: r.vec_f32()?,
         terminals: r.vec_bool()?,
         masks: r.vec_bool()?,
-    })
+    };
+    let n = b.actions.len();
+    check_len("buffer state width", b.state_dim, actor.in_dim())?;
+    if b.mask_dim != 0 {
+        check_len("buffer mask width", b.mask_dim, actor.out_dim())?;
+    }
+    for (what, got, want) in [
+        ("buffer rewards", b.rewards.len(), n),
+        ("buffer log-probs", b.old_log_probs.len(), n),
+        ("buffer terminals", b.terminals.len(), n),
+        ("buffer states", b.states.len(), n.saturating_mul(b.state_dim)),
+        ("buffer masks", b.masks.len(), n.saturating_mul(b.mask_dim)),
+    ] {
+        check_len(what, got, want)?;
+    }
+    if b.actions.iter().any(|&a| a >= actor.out_dim()) {
+        return Err(bad("buffer action out of range"));
+    }
+    Ok(b)
 }
 
 pub(crate) fn write_ppo_agent(w: &mut Writer, s: &PpoAgentSnapshot) {
@@ -313,14 +359,17 @@ pub(crate) fn write_ppo_agent(w: &mut Writer, s: &PpoAgentSnapshot) {
     w.usize(s.episodes_buffered);
 }
 
-pub(crate) fn read_ppo_agent(r: &mut Reader<'_>) -> io::Result<PpoAgentSnapshot> {
+/// Reads a PPO agent snapshot, checked against the live agent it will
+/// restore.
+pub(crate) fn read_ppo_agent(r: &mut Reader<'_>, live: &PpoAgent) -> io::Result<PpoAgentSnapshot> {
+    let (actor, critic) = (live.actor.param_count(), live.critic.param_count());
     Ok(PpoAgentSnapshot {
-        actor: r.vec_f32()?,
-        critic: r.vec_f32()?,
-        actor_opt: read_adam(r)?,
-        critic_opt: read_adam(r)?,
+        actor: read_params(r, "actor", actor)?,
+        critic: read_params(r, "critic", critic)?,
+        actor_opt: read_adam(r, actor)?,
+        critic_opt: read_adam(r, critic)?,
         rng: r.rng_state()?,
-        buffer: read_buffer(r)?,
+        buffer: read_buffer(r, &live.actor)?,
         episodes_buffered: r.usize()?,
     })
 }
@@ -345,20 +394,30 @@ pub(crate) fn write_dual_agent(w: &mut Writer, s: &DualAgentSnapshot) {
     w.usize(s.episodes_buffered);
 }
 
-pub(crate) fn read_dual_agent(r: &mut Reader<'_>) -> io::Result<DualAgentSnapshot> {
-    Ok(DualAgentSnapshot {
-        actor: r.vec_f32()?,
-        local_critic: r.vec_f32()?,
-        public_critic: r.vec_f32()?,
-        actor_opt: read_adam(r)?,
-        local_opt: read_adam(r)?,
-        public_opt: read_adam(r)?,
+/// Reads a dual-critic agent snapshot, checked against the live agent it
+/// will restore.
+pub(crate) fn read_dual_agent(
+    r: &mut Reader<'_>,
+    live: &DualCriticAgent,
+) -> io::Result<DualAgentSnapshot> {
+    let n = [&live.actor, &live.local_critic, &live.public_critic].map(Mlp::param_count);
+    let s = DualAgentSnapshot {
+        actor: read_params(r, "actor", n[0])?,
+        local_critic: read_params(r, "local critic", n[1])?,
+        public_critic: read_params(r, "public critic", n[2])?,
+        actor_opt: read_adam(r, n[0])?,
+        local_opt: read_adam(r, n[1])?,
+        public_opt: read_adam(r, n[2])?,
         alpha: r.f32()?,
         fixed_alpha: if r.bool()? { Some(r.f32()?) } else { None },
         rng: r.rng_state()?,
-        buffer: read_buffer(r)?,
+        buffer: read_buffer(r, &live.actor)?,
         episodes_buffered: r.usize()?,
-    })
+    };
+    if !s.fixed_alpha.into_iter().chain([s.alpha]).all(|a| (0.0..=1.0).contains(&a)) {
+        return Err(bad("critic blend alpha outside [0, 1]"));
+    }
+    Ok(s)
 }
 
 fn write_streams(w: &mut Writer, streams: &[Vec<f32>]) {
@@ -368,9 +427,11 @@ fn write_streams(w: &mut Writer, streams: &[Vec<f32>]) {
     }
 }
 
-fn read_streams(r: &mut Reader<'_>) -> io::Result<Vec<Vec<f32>>> {
-    let n = r.usize()?;
-    (0..n).map(|_| r.vec_f32()).collect()
+/// Reads one retained upload, which must have the federation's stream
+/// lengths `lens` and finite values.
+fn read_streams(r: &mut Reader<'_>, lens: &[usize]) -> io::Result<Vec<Vec<f32>>> {
+    check_len("upload streams", r.usize()?, lens.len())?;
+    lens.iter().map(|&want| read_params(r, "retained upload", want)).collect()
 }
 
 pub(crate) fn write_client_fault(w: &mut Writer, c: &ClientFault) {
@@ -391,16 +452,18 @@ pub(crate) fn write_client_fault(w: &mut Writer, c: &ClientFault) {
     }
 }
 
-pub(crate) fn read_client_fault(r: &mut Reader<'_>) -> io::Result<ClientFault> {
+/// Reads one client's fault bookkeeping for uploads of stream lengths
+/// `lens`.
+pub(crate) fn read_client_fault(r: &mut Reader<'_>, lens: &[usize]) -> io::Result<ClientFault> {
     let straggle_left = r.usize()?;
     let missed_rounds = r.usize()?;
     let rejections = r.u32()?;
     let evicted = r.bool()?;
-    let last_good = if r.bool()? { Some(read_streams(r)?) } else { None };
+    let last_good = if r.bool()? { Some(read_streams(r, lens)?) } else { None };
     let n = r.usize()?;
     let mut history = VecDeque::with_capacity(n.min(64));
     for _ in 0..n {
-        history.push_back(read_streams(r)?);
+        history.push_back(read_streams(r, lens)?);
     }
     Ok(ClientFault { straggle_left, missed_rounds, rejections, evicted, last_good, history })
 }
@@ -416,7 +479,7 @@ pub(crate) fn read_matrix(r: &mut Reader<'_>) -> io::Result<Matrix> {
     let rows = r.usize()?;
     let cols = r.usize()?;
     let data = r.vec_f32()?;
-    if data.len() != rows * cols {
+    if rows.checked_mul(cols) != Some(data.len()) {
         return Err(bad(format!("matrix {rows}x{cols} with {} elements", data.len())));
     }
     Ok(Matrix::from_vec(rows, cols, data))
@@ -511,12 +574,12 @@ mod tests {
             last_good: Some(vec![vec![1.0, -2.0], vec![0.5]]),
             history: VecDeque::new(),
         };
-        c.history.push_back(vec![vec![9.0]]);
+        c.history.push_back(vec![vec![9.0, 3.0], vec![4.0]]);
         let mut w = Writer::new();
         write_client_fault(&mut w, &c);
         let bytes = w.finish();
         let mut r = Reader::new(&bytes).unwrap();
-        assert_eq!(read_client_fault(&mut r).unwrap(), c);
+        assert_eq!(read_client_fault(&mut r, &[2, 1]).unwrap(), c);
         r.finish().unwrap();
     }
 

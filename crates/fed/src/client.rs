@@ -1,11 +1,14 @@
 //! A federated client: an agent bound to its private environment and
 //! workload pool.
 
+use crate::checkpoint::{
+    read_dual_agent, read_ppo_agent, write_dual_agent, write_ppo_agent, Reader, Writer,
+};
 use crate::config::{ClientSetup, FedConfig};
 use crate::snapshot::PolicySnapshot;
 use pfrl_nn::Mlp;
 use pfrl_rl::{DualCriticAgent, PpoAgent, PpoConfig};
-use pfrl_scenario::{ClientTrace, ScenarioBinding};
+use pfrl_scenario::ClientTrace;
 use pfrl_sim::{CloudEnv, DagCloudEnv, EnvConfig, EnvDims, EpisodeMetrics, SchedulingEnv};
 use pfrl_stats::seeding::SeedStream;
 use pfrl_telemetry::Telemetry;
@@ -14,9 +17,18 @@ use pfrl_workloads::TaskSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::io;
 
 /// Minimal agent interface the federation machinery needs.
-pub trait FedAgent: Send {
+pub trait FedAgent: Clone + Send {
+    /// A fresh agent with seeded initialization.
+    fn build(state_dim: usize, action_dim: usize, cfg: PpoConfig, seed: u64) -> Self;
+    /// Encodes the complete resumable training state.
+    fn write_state(&self, w: &mut Writer);
+    /// Reads state written by [`Self::write_state`] into `self`, checked
+    /// against this agent's network shapes first: a mismatched checkpoint
+    /// is an `Err`, not a panic.
+    fn read_state(&mut self, r: &mut Reader<'_>) -> io::Result<()>;
     /// One training episode on a freshly reset env; returns total reward.
     fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32;
     /// Greedy evaluation on a freshly reset env (`&mut self`: the agents
@@ -32,6 +44,17 @@ pub trait FedAgent: Send {
 }
 
 impl FedAgent for PpoAgent {
+    fn build(state_dim: usize, action_dim: usize, cfg: PpoConfig, seed: u64) -> Self {
+        PpoAgent::new(state_dim, action_dim, cfg, seed)
+    }
+    fn write_state(&self, w: &mut Writer) {
+        write_ppo_agent(w, &self.snapshot());
+    }
+    fn read_state(&mut self, r: &mut Reader<'_>) -> io::Result<()> {
+        let snap = read_ppo_agent(r, self)?;
+        self.restore(&snap);
+        Ok(())
+    }
     fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32 {
         self.train_one_episode(env)
     }
@@ -50,6 +73,17 @@ impl FedAgent for PpoAgent {
 }
 
 impl FedAgent for DualCriticAgent {
+    fn build(state_dim: usize, action_dim: usize, cfg: PpoConfig, seed: u64) -> Self {
+        DualCriticAgent::new(state_dim, action_dim, cfg, seed)
+    }
+    fn write_state(&self, w: &mut Writer) {
+        write_dual_agent(w, &self.snapshot());
+    }
+    fn read_state(&mut self, r: &mut Reader<'_>) -> io::Result<()> {
+        let snap = read_dual_agent(r, self)?;
+        self.restore(&snap);
+        Ok(())
+    }
     fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32 {
         self.train_one_episode(env)
     }
@@ -311,32 +345,6 @@ impl<A: FedAgent> Client<A> {
             actor_params: self.agent.actor().flat_params(),
         }
     }
-}
-
-/// Installs a scenario binding on a runner's clients and fault state: drift
-/// traces per client (only when the plan actually drifts — a churn-only plan
-/// leaves training traces untouched) plus the churn schedule. Shared by all
-/// four runners' `with_scenario` builders.
-pub(crate) fn install_scenario<A: FedAgent>(
-    clients: &mut [Client<A>],
-    fault: &mut crate::fault::FaultState,
-    binding: &ScenarioBinding,
-    tasks_per_episode: Option<usize>,
-) {
-    assert_eq!(
-        binding.datasets.len(),
-        clients.len(),
-        "scenario binding has {} datasets for {} clients",
-        binding.datasets.len(),
-        clients.len()
-    );
-    if binding.plan.has_drift() {
-        for (i, c) in clients.iter_mut().enumerate() {
-            let n = tasks_per_episode.unwrap_or(c.train_tasks().len());
-            c.set_scenario_trace(binding.trace_for(i, n));
-        }
-    }
-    fault.set_churn(binding.plan.churn().clone());
 }
 
 #[cfg(test)]

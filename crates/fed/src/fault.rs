@@ -443,13 +443,9 @@ pub struct FaultState {
 impl FaultState {
     /// Builds the state for `n` clients.
     pub fn new(plan: FaultPlan, policy: QuarantinePolicy, n: usize) -> Self {
-        plan.validate();
-        assert!(policy.norm_limit > 0.0, "norm_limit must be positive");
-        assert!(policy.evict_after >= 1, "evict_after must be >= 1");
-        assert!((0.0..=1.0).contains(&policy.staleness_decay), "staleness_decay outside [0, 1]");
-        Self {
-            plan,
-            policy,
+        let mut state = Self {
+            plan: FaultPlan::none(),
+            policy: QuarantinePolicy::default(),
             clients: vec![ClientFault::default(); n],
             churn: ChurnPlan::none(),
             attack: AttackPlan::none(),
@@ -457,7 +453,26 @@ impl FaultState {
             last_rejection: None,
             enrolled: n,
             telemetry: Telemetry::noop(),
-        }
+        };
+        state.set_plan(plan);
+        state.set_policy(policy);
+        state
+    }
+
+    /// Installs the fault schedule (construction-time config; replaces any
+    /// previous plan).
+    pub(crate) fn set_plan(&mut self, plan: FaultPlan) {
+        plan.validate();
+        self.plan = plan;
+    }
+
+    /// Installs the quarantine policy (construction-time config; replaces
+    /// any previous policy).
+    pub(crate) fn set_policy(&mut self, policy: QuarantinePolicy) {
+        assert!(policy.norm_limit > 0.0, "norm_limit must be positive");
+        assert!(policy.evict_after >= 1, "evict_after must be >= 1");
+        assert!((0.0..=1.0).contains(&policy.staleness_decay), "staleness_decay outside [0, 1]");
+        self.policy = policy;
     }
 
     /// Installs the churn plan (construction-time config; replaces any
@@ -477,16 +492,6 @@ impl FaultState {
         self.attack = attack;
     }
 
-    /// The attack plan in force.
-    pub fn attack(&self) -> &AttackPlan {
-        &self.attack
-    }
-
-    /// Whether client `i` belongs to the adversarial coalition.
-    pub fn is_adversary(&self, i: usize) -> bool {
-        self.adversary[i]
-    }
-
     /// The most recent gate/screen rejection as a structured error, or
     /// `None` if every upload so far was accepted. Gives callers the
     /// *reason* an upload was thrown out instead of a bare quarantine
@@ -499,11 +504,6 @@ impl FaultState {
         })
     }
 
-    /// The churn plan in force.
-    pub fn churn(&self) -> &ChurnPlan {
-        &self.churn
-    }
-
     /// Enrolled-client count of the latest [`Self::begin_round`].
     pub fn enrolled_now(&self) -> usize {
         self.enrolled
@@ -514,22 +514,6 @@ impl FaultState {
         self.telemetry = telemetry;
     }
 
-    /// The active plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The quarantine policy in force.
-    pub fn policy(&self) -> &QuarantinePolicy {
-        &self.policy
-    }
-
-    /// Whether any fault can ever fire (the quarantine gate itself is
-    /// always on).
-    pub fn is_active(&self) -> bool {
-        self.plan.is_active()
-    }
-
     /// Registers a newly joined client (healthy; coalition membership is
     /// derived from the attack plan like everyone else's).
     pub fn add_client(&mut self) {
@@ -537,11 +521,6 @@ impl FaultState {
         self.clients.push(ClientFault::default());
         self.adversary.push(self.attack.is_adversary(i));
         self.enrolled += 1;
-    }
-
-    /// Number of tracked clients.
-    pub fn n_clients(&self) -> usize {
-        self.clients.len()
     }
 
     /// Whether the gate has evicted client `i`.

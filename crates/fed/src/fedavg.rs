@@ -2,37 +2,23 @@
 //! the paper's traditional-FRL baseline — optionally with a fixed
 //! per-client mixing matrix for the Fig. 10 similarity-weighting study.
 
-use crate::attack::AttackPlan;
-use crate::checkpoint::{
-    read_client_fault, read_ppo_agent, write_client_fault, write_ppo_agent, Fingerprint, Reader,
-    Writer,
-};
+use crate::checkpoint::{Reader, Writer};
 use crate::client::Client;
-use crate::config::{ClientSetup, FedConfig};
-use crate::curves::TrainingCurves;
-use crate::error::FedError;
-use crate::fault::{AcceptedUpload, FaultPlan, FaultState, Presence, QuarantinePolicy};
-use crate::independent::{agent_seed, curves_of, run_all};
-use crate::robust::{reduce_into, screen_uploads, RobustConfig, RobustScratch};
-use crate::runner::UploadArena;
+use crate::config::FedConfig;
+use crate::federation::{Federation, Round, Strategy};
+use crate::robust::reduce_into;
 use pfrl_nn::params::apply_mixing_matrix_into;
-use pfrl_rl::{PpoAgent, PpoConfig};
-use pfrl_sim::{EnvConfig, EnvDims};
+use pfrl_rl::PpoAgent;
 use pfrl_telemetry::Telemetry;
 use pfrl_tensor::Matrix;
 use std::io;
-
-/// Wire size of a flat `f32` parameter vector, for bytes-on-wire counters.
-pub(crate) fn param_bytes(params: &[Vec<f32>]) -> u64 {
-    params.iter().map(|p| p.len() as u64 * 4).sum()
-}
 
 /// Restricts an `N × N` mixing matrix to the participating subset: rows and
 /// columns of the survivors, with each row renormalized to sum 1 (uniform
 /// fallback when a row has no mass on the survivors). The full matrix is
 /// returned untouched when everyone participates, so fault-free runs stay
 /// bit-identical.
-pub(crate) fn restrict_mixing(mix: &Matrix, survivors: &[usize], n: usize) -> Matrix {
+fn restrict_mixing(mix: &Matrix, survivors: &[usize], n: usize) -> Matrix {
     if survivors.len() == n {
         return mix.clone();
     }
@@ -62,25 +48,33 @@ pub struct RoundLossProbe {
     pub loss_after: f64,
 }
 
-/// Reusable per-round aggregation buffers: cleared and refilled every
-/// round so the steady-state aggregate path stays off the heap.
-#[derive(Default)]
-struct AggWorkspace {
-    presences: Vec<Presence>,
-    accepted: Vec<AcceptedUpload>,
-    survivors: Vec<usize>,
-    actors: Vec<Vec<f32>>,
-    critics: Vec<Vec<f32>>,
-    actor_out: Vec<Vec<f32>>,
-    critic_out: Vec<Vec<f32>>,
-    robust: RobustScratch,
+/// Uploads `[actor, critic]` — what FedAvg and MFPO ship.
+pub(crate) fn upload_ppo(agent: &PpoAgent, streams: &mut [Vec<f32>]) {
+    agent.actor_params_into(&mut streams[0]);
+    agent.critic_params_into(&mut streams[1]);
 }
 
-/// FedAvg federation runner.
-pub struct FedAvgRunner {
-    /// Participating clients.
-    pub clients: Vec<Client<PpoAgent>>,
-    cfg: FedConfig,
+/// Installs a downloaded `[actor, critic]` pair.
+pub(crate) fn download_ppo(agent: &mut PpoAgent, actor: &[f32], critic: &[f32]) {
+    agent.set_actor_params(actor);
+    agent.set_critic_params(critic);
+}
+
+/// Mean critic loss across clients on their own last episodes, `None`
+/// before any training happened.
+pub(crate) fn mean_critic_loss(clients: &[Client<PpoAgent>]) -> Option<f64> {
+    let (sum, count) = clients
+        .iter()
+        .filter_map(|c| c.agent.critic_loss_on_last_episode())
+        .fold((0.0f64, 0usize), |(sum, count), l| (sum + l as f64, count + 1));
+    (count > 0).then(|| sum / count as f64)
+}
+
+/// The FedAvg strategy: ships `[actor, critic]` and reduces the survivors
+/// to one average (robust, or pairwise-masked secure) or, with a mixing
+/// matrix, to one personalized model per survivor.
+#[derive(Clone, Default)]
+pub struct FedAvg {
     /// Optional `N × N` row-stochastic mixing matrix; row `k` is client
     /// `k`'s personal averaging weights (uniform FedAvg when `None`).
     mixing: Option<Matrix>,
@@ -88,163 +82,126 @@ pub struct FedAvgRunner {
     /// aggregation (Sec. 3.4 threat model): the server never sees raw
     /// client updates, yet the average is exact up to float round-off.
     secure: bool,
-    rounds_done: usize,
-    /// Critic-loss probes collected at every aggregation.
-    pub loss_probes: Vec<RoundLossProbe>,
-    fault: FaultState,
-    robust: RobustConfig,
-    telemetry: Telemetry,
-    arena: UploadArena,
-    agg: AggWorkspace,
+    loss_probes: Vec<RoundLossProbe>,
+    /// Reduced `[actors, critics]`: one shared model (uniform) or one per
+    /// survivor slot (mixing) — the `vec![avg; k]` broadcast list is never
+    /// materialized.
+    out: [Vec<Vec<f32>>; 2],
 }
 
-impl FedAvgRunner {
-    /// Builds a uniform-averaging FedAvg federation. As in standard FedAvg,
-    /// the server initializes one model and broadcasts it, so all clients
-    /// share the initial parameters (averaging unrelated random
-    /// initializations would be meaningless — networks are only comparable
-    /// in parameter space when they share ancestry).
-    pub fn new(
-        setups: Vec<ClientSetup>,
-        dims: EnvDims,
-        env_cfg: EnvConfig,
-        ppo_cfg: PpoConfig,
-        fed_cfg: FedConfig,
-    ) -> Self {
-        fed_cfg.validate(setups.len());
-        let mut clients: Vec<Client<PpoAgent>> = setups
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let agent = PpoAgent::new(
-                    dims.state_dim(),
-                    dims.action_dim(),
-                    ppo_cfg,
-                    agent_seed(&fed_cfg, i),
-                );
-                Client::new(s, agent, dims, env_cfg, &fed_cfg, i)
-            })
-            .collect();
+impl Strategy for FedAvg {
+    type Agent = PpoAgent;
+    const NAME: &'static str = "FedAvg";
+    const TAG: u8 = 1;
+    const STREAMS: usize = 2;
+
+    /// As in standard FedAvg, the server initializes one model and
+    /// broadcasts it: networks are only comparable in parameter space when
+    /// they share ancestry.
+    fn init(&mut self, _: &FedConfig, clients: &mut [Client<PpoAgent>]) {
         let actor0 = clients[0].agent.actor_params();
         let critic0 = clients[0].agent.critic_params();
         for c in &mut clients[1..] {
-            c.agent.set_actor_params(&actor0);
-            c.agent.set_critic_params(&critic0);
-        }
-        let n = clients.len();
-        Self {
-            clients,
-            cfg: fed_cfg,
-            mixing: None,
-            secure: false,
-            rounds_done: 0,
-            loss_probes: Vec::new(),
-            fault: FaultState::new(FaultPlan::none(), QuarantinePolicy::default(), n),
-            robust: RobustConfig::default(),
-            telemetry: Telemetry::noop(),
-            arena: UploadArena::new(),
-            agg: AggWorkspace::default(),
+            download_ppo(&mut c.agent, &actor0, &critic0);
         }
     }
 
-    /// Routes runner, agent, and environment metrics to `telemetry`
-    /// (per-round phase timings, bytes on the wire, critic-loss probes).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        for c in &mut self.clients {
-            c.set_telemetry(telemetry.clone());
+    fn upload(agent: &PpoAgent, streams: &mut [Vec<f32>]) {
+        upload_ppo(agent, streams);
+    }
+
+    /// The robust config's screens guard every path, but only the plain
+    /// average takes its reduction: personalized mixing is not a mean, and
+    /// secure aggregation never reveals individual updates to reduce.
+    fn reduce(&mut self, r: &mut Round<'_, PpoAgent>) {
+        let sub = self.mixing.as_ref().map(|m| restrict_mixing(m, r.survivors, r.clients.len()));
+        let k = r.survivors.len();
+        let round_seed = r.cfg.seed ^ (0x5EC0_0000_0000_0000 | r.index as u64);
+        for (ups, out) in r.uploads.iter().zip(&mut self.out) {
+            if let Some(sub) = &sub {
+                apply_mixing_matrix_into(sub, ups, r.cfg.parallel, out);
+                continue;
+            }
+            out.resize_with(1, Vec::new);
+            if self.secure {
+                // The masking cohort is the surviving subset (fixed before
+                // masks are generated, so cancellation is exact); slots
+                // re-base the pair indices.
+                let masked: Vec<Vec<f32>> = ups
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, u)| crate::secure::mask_update(u, slot, k, round_seed))
+                    .collect();
+                out[0] = crate::secure::aggregate_masked(&masked, k)
+                    .expect("cohort fixed at masking time");
+            } else {
+                reduce_into(r.robust.aggregator, ups, r.scratch, &mut out[0], r.telemetry);
+            }
         }
-        self.fault.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
     }
 
-    /// Installs a deterministic fault schedule (see [`crate::fault`]): the
-    /// scheduled dropouts, stragglers, corruptions, and stale uploads are
-    /// injected at the client→server boundary of every aggregation.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        let policy = *self.fault.policy();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Overrides the update-quarantine policy (norm limit, eviction
-    /// threshold, staleness decay).
-    pub fn with_quarantine_policy(mut self, policy: QuarantinePolicy) -> Self {
-        let plan = *self.fault.plan();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a deterministic Byzantine attack schedule (see
-    /// [`crate::attack`]): coalition members' uploads are replaced with
-    /// crafted poison at the same client→server boundary the fault layer
-    /// uses.
-    pub fn with_attack_plan(mut self, plan: AttackPlan) -> Self {
-        self.fault.set_attack(plan);
-        self
-    }
-
-    /// Installs the Byzantine-robust aggregation config (see
-    /// [`crate::robust`]): cohort-relative screens run over the gated
-    /// uploads, and the configured reduction replaces the plain mean of
-    /// the uniform-averaging path. The default ([`RobustConfig::default`])
-    /// is bit-identical to a runner without the layer. Screens also guard
-    /// the mixing-matrix and secure paths, but those keep their own
-    /// reductions (personalized mixing is not a mean; secure aggregation
-    /// never reveals individual updates to reduce robustly).
-    pub fn with_robust_aggregator(mut self, robust: RobustConfig) -> Self {
-        robust.validate();
-        self.robust = robust;
-        self
-    }
-
-    /// Installs a deterministic scenario (workload drift + churn, see
-    /// [`pfrl_scenario`]): drifting clients regenerate their episode traces
-    /// from the plan, and the plan's churn schedule drives which clients are
-    /// in the cohort each round (leavers sit out aggregation; re-joiners
-    /// flow through the staleness re-entry blend).
-    pub fn with_scenario(mut self, binding: &pfrl_scenario::ScenarioBinding) -> Self {
-        crate::client::install_scenario(
-            &mut self.clients,
-            &mut self.fault,
-            binding,
-            self.cfg.tasks_per_episode,
-        );
-        self
-    }
-
-    /// Switches every client to DAG workflow scheduling: client `i` draws
-    /// its episodes from `pools[i]` (seeded windows of `per_episode`
-    /// workflows; `None` replays the full pool each episode).
-    pub fn with_workflows(
-        mut self,
-        pools: Vec<Vec<pfrl_workloads::workflow::Workflow>>,
-        per_episode: Option<usize>,
-    ) -> Self {
-        assert_eq!(pools.len(), self.clients.len(), "one workflow pool per client");
-        for (c, pool) in self.clients.iter_mut().zip(pools) {
-            c.use_workflows(pool, per_episode);
+    fn broadcast(&mut self, r: &mut Round<'_, PpoAgent>) -> u64 {
+        let shared = self.mixing.is_none();
+        let [actors, critics] = &self.out;
+        for (slot, &i) in r.survivors.iter().enumerate() {
+            let src = if shared { 0 } else { slot };
+            download_ppo(&mut r.clients[i].agent, &actors[src], &critics[src]);
         }
-        self
+        if shared {
+            // Connected clients whose uploads were quarantined away still
+            // receive the round's uniform average.
+            for i in 0..r.clients.len() {
+                if r.presences[i].is_present() && !r.survivors.contains(&i) {
+                    download_ppo(&mut r.clients[i].agent, &actors[0], &critics[0]);
+                    r.fault.note_refreshed(i);
+                }
+            }
+        }
+        // Same accounting as materializing one model per survivor slot
+        // (the uniform arm broadcasts the identical average k times).
+        r.survivors.len() as u64 * (actors[0].len() + critics[0].len()) as u64 * 4
     }
 
+    /// Always probed: the loss probes are FedAvg state, not telemetry.
+    fn critic_loss(&self, clients: &[Client<PpoAgent>], _: &Telemetry) -> Option<f64> {
+        mean_critic_loss(clients)
+    }
+
+    fn record(&mut self, r: &Round<'_, PpoAgent>, losses: Option<(f64, f64)>) {
+        if let Some((loss_before, loss_after)) = losses {
+            self.loss_probes.push(RoundLossProbe { round: r.index, loss_before, loss_after });
+        }
+    }
+
+    fn write_state(&self, w: &mut Writer) {
+        w.usize(self.loss_probes.len());
+        for p in &self.loss_probes {
+            w.usize(p.round);
+            w.f64(p.loss_before);
+            w.f64(p.loss_after);
+        }
+    }
+
+    fn read_state(&mut self, r: &mut Reader<'_>, _: &[usize]) -> io::Result<()> {
+        let n = r.usize()?;
+        self.loss_probes.clear();
+        for _ in 0..n {
+            let (round, loss_before, loss_after) = (r.usize()?, r.f64()?, r.f64()?);
+            self.loss_probes.push(RoundLossProbe { round, loss_before, loss_after });
+        }
+        Ok(())
+    }
+}
+
+/// FedAvg federation runner.
+pub type FedAvgRunner = Federation<FedAvg>;
+
+impl Federation<FedAvg> {
     /// Enables pairwise-masked secure aggregation for uniform averaging
     /// (ignored when a mixing matrix is installed — personalized weights
     /// require the server to see individual updates).
     pub fn with_secure_aggregation(mut self, secure: bool) -> Self {
-        self.secure = secure;
+        self.strategy.secure = secure;
         self
     }
 
@@ -255,346 +212,15 @@ impl FedAvgRunner {
     /// # Panics
     /// If the shape is not `N × N`.
     pub fn with_mixing(mut self, mixing: Matrix) -> Self {
-        assert_eq!(
-            mixing.shape(),
-            (self.clients.len(), self.clients.len()),
-            "mixing matrix must be N x N"
-        );
-        self.mixing = Some(mixing);
+        let n = self.clients.len();
+        assert_eq!(mixing.shape(), (n, n), "mixing matrix must be N x N");
+        self.strategy.mixing = Some(mixing);
         self
     }
 
-    /// Full training run: `comm_every` local episodes, aggregate, repeat.
-    /// Resume-safe: starts from `rounds_done`, so a restored runner
-    /// continues the remaining schedule.
-    pub fn train(&mut self) -> TrainingCurves {
-        while self.rounds_done < self.cfg.rounds() {
-            self.train_round();
-        }
-        self.finish()
-    }
-
-    /// One communication round: `comm_every` local episodes on every client
-    /// (faulted clients keep training locally — only their communication
-    /// fails), then an aggregation.
-    pub fn train_round(&mut self) {
-        let t = self.telemetry.clone();
-        let round_span = t.span("fed/round");
-        {
-            let _local = round_span.child("local_train");
-            run_all(&mut self.clients, self.cfg.comm_every, self.cfg.parallel);
-        }
-        let round = self.rounds_done;
-        self.aggregate(round);
-    }
-
-    /// Runs any leftover episodes past the last aggregation and returns the
-    /// curves. Idempotent: each client is trained up to the episode budget.
-    pub fn finish(&mut self) -> TrainingCurves {
-        let done = self.clients.first().map_or(0, |c| c.episodes_done());
-        if self.cfg.episodes > done {
-            run_all(&mut self.clients, self.cfg.episodes - done, self.cfg.parallel);
-        }
-        curves_of(&self.clients)
-    }
-
-    /// One aggregation over the round's surviving subset: collect uploads
-    /// from connected clients, gate them through the fault/quarantine
-    /// layer, average (or mix) actors and critics of the survivors, and
-    /// broadcast back to connected clients only. Records the critic-loss
-    /// probe.
-    pub fn aggregate(&mut self, round: usize) {
-        let n = self.clients.len();
-        self.fault.begin_round_into(round, &mut self.agg.presences);
-
-        let upload = self.telemetry.span("fed/round/upload");
-        self.agg.accepted.clear();
-        for i in 0..n {
-            let p = self.agg.presences[i];
-            if !p.is_present() {
-                self.fault.note_missed(i);
-                continue;
-            }
-            // Uploads flow through the pooled arena: one warm
-            // `[actor, critic]` buffer pair per client instead of two
-            // fresh allocations.
-            let mut streams = self.arena.acquire(2);
-            self.clients[i].agent.actor_params_into(&mut streams[0]);
-            self.clients[i].agent.critic_params_into(&mut streams[1]);
-            if let Some(up) = self.fault.gate_upload(round, i, streams, p) {
-                self.agg.accepted.push(up);
-            }
-        }
-        drop(upload);
-        // Cohort-relative robust screens (no-ops on the default config):
-        // outliers among the gated uploads are ejected before any float
-        // touches the aggregate, and their buffers return to the arena.
-        screen_uploads(
-            &self.robust,
-            round,
-            &mut self.fault,
-            &mut self.agg.accepted,
-            &mut self.arena,
-            &mut self.agg.robust,
-        );
-        self.fault.record_participation(self.agg.accepted.len());
-        if self.agg.accepted.is_empty() {
-            // Nothing survived the gate: skip the aggregation entirely;
-            // clients keep training on their current parameters.
-            self.telemetry.counter("fed/rounds", 1);
-            self.rounds_done += 1;
-            return;
-        }
-        let agg_start = std::time::Instant::now();
-        let k = self.agg.accepted.len();
-        self.agg.survivors.clear();
-        self.agg.survivors.extend(self.agg.accepted.iter().map(|u| u.client));
-        self.agg.actors.truncate(k);
-        self.agg.critics.truncate(k);
-        while self.agg.actors.len() < k {
-            self.agg.actors.push(Vec::new());
-        }
-        while self.agg.critics.len() < k {
-            self.agg.critics.push(Vec::new());
-        }
-        for (dst, u) in self.agg.actors.iter_mut().zip(&self.agg.accepted) {
-            dst.clone_from(&u.streams[0]);
-        }
-        for (dst, u) in self.agg.critics.iter_mut().zip(&self.agg.accepted) {
-            dst.clone_from(&u.streams[1]);
-        }
-        // The upload buffers are copied out; park them for the next round.
-        for up in self.agg.accepted.drain(..) {
-            self.arena.release(up.streams);
-        }
-        // FedAvg ships both networks client → server.
-        self.telemetry.counter(
-            "fed/bytes_up",
-            param_bytes(&self.agg.actors) + param_bytes(&self.agg.critics),
-        );
-
-        let loss_before = self.mean_critic_loss();
-
-        // Averaging (or mixing) first, then the broadcast back to clients,
-        // so the two phases time separately.
-        let aggregate_span = self.telemetry.span("fed/round/aggregate");
-        // Uniform FedAvg computes one shared average (`shared == true`,
-        // held in `*_out[0]` — the old `vec![avg; k]` broadcast list is
-        // never materialized); a mixing matrix yields one model per
-        // survivor slot.
-        let shared: bool = match &self.mixing {
-            None => {
-                self.agg.actor_out.truncate(1);
-                self.agg.critic_out.truncate(1);
-                if self.agg.actor_out.is_empty() {
-                    self.agg.actor_out.push(Vec::new());
-                }
-                if self.agg.critic_out.is_empty() {
-                    self.agg.critic_out.push(Vec::new());
-                }
-                if self.secure {
-                    let round_seed =
-                        self.cfg.seed ^ (0x5EC0_0000_0000_0000 | self.rounds_done as u64);
-                    // The masking cohort is the surviving subset (fixed
-                    // before masks are generated, so cancellation is
-                    // exact); slots re-base the pair indices.
-                    let mask_all = |ups: &[Vec<f32>]| -> Vec<f32> {
-                        let masked: Vec<Vec<f32>> = ups
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, u)| crate::secure::mask_update(u, slot, k, round_seed))
-                            .collect();
-                        crate::secure::aggregate_masked(&masked, k)
-                            .expect("cohort fixed at masking time")
-                    };
-                    self.agg.actor_out[0] = mask_all(&self.agg.actors);
-                    self.agg.critic_out[0] = mask_all(&self.agg.critics);
-                } else {
-                    reduce_into(
-                        self.robust.aggregator,
-                        &self.agg.actors,
-                        &mut self.agg.robust,
-                        &mut self.agg.actor_out[0],
-                        &self.telemetry,
-                    );
-                    reduce_into(
-                        self.robust.aggregator,
-                        &self.agg.critics,
-                        &mut self.agg.robust,
-                        &mut self.agg.critic_out[0],
-                        &self.telemetry,
-                    );
-                }
-                true
-            }
-            Some(mix) => {
-                let sub = restrict_mixing(mix, &self.agg.survivors, n);
-                apply_mixing_matrix_into(
-                    &sub,
-                    &self.agg.actors,
-                    self.cfg.parallel,
-                    &mut self.agg.actor_out,
-                );
-                apply_mixing_matrix_into(
-                    &sub,
-                    &self.agg.critics,
-                    self.cfg.parallel,
-                    &mut self.agg.critic_out,
-                );
-                false
-            }
-        };
-        drop(aggregate_span);
-
-        {
-            let _broadcast = self.telemetry.span("fed/round/broadcast");
-            for slot in 0..k {
-                let i = self.agg.survivors[slot];
-                let src = if shared { 0 } else { slot };
-                self.clients[i].agent.set_actor_params(&self.agg.actor_out[src]);
-                self.clients[i].agent.set_critic_params(&self.agg.critic_out[src]);
-            }
-            if shared {
-                // Connected clients whose uploads were quarantined away
-                // still receive the round's uniform average.
-                for i in 0..n {
-                    if self.agg.presences[i].is_present() && !self.agg.survivors.contains(&i) {
-                        self.clients[i].agent.set_actor_params(&self.agg.actor_out[0]);
-                        self.clients[i].agent.set_critic_params(&self.agg.critic_out[0]);
-                        self.fault.note_refreshed(i);
-                    }
-                }
-            }
-        }
-        // Same accounting as materializing one model per survivor slot
-        // (the uniform arm broadcasts the identical average k times).
-        let per_model = (self.agg.actor_out[0].len() + self.agg.critic_out[0].len()) as u64 * 4;
-        self.telemetry.counter("fed/bytes_down", k as u64 * per_model);
-        self.telemetry.observe("fed/agg_wall_us", agg_start.elapsed().as_secs_f64() * 1e6);
-        self.telemetry.gauge("fed/arena_bytes", self.arena.pooled_bytes() as f64);
-
-        let loss_after = self.mean_critic_loss();
-        if let (Some(b), Some(a)) = (loss_before, loss_after) {
-            self.telemetry.observe("fed/critic_loss_before_agg", b);
-            self.telemetry.observe("fed/critic_loss_after_agg", a);
-            self.loss_probes.push(RoundLossProbe { round, loss_before: b, loss_after: a });
-        }
-        self.telemetry.counter("fed/rounds", 1);
-        self.rounds_done += 1;
-    }
-
-    /// Mean critic loss across clients on their own last episodes, `None`
-    /// before any training happened.
-    fn mean_critic_loss(&self) -> Option<f64> {
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        for c in &self.clients {
-            if let Some(l) = c.agent.critic_loss_on_last_episode() {
-                sum += l as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum / count as f64)
-        }
-    }
-
-    /// The schedule in use.
-    pub fn config(&self) -> &FedConfig {
-        &self.cfg
-    }
-
-    /// Communication rounds completed so far.
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Bytes of `f32` capacity pooled in the upload arena between rounds.
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena.pooled_bytes()
-    }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            algo: 1,
-            seed: self.cfg.seed,
-            episodes: self.cfg.episodes,
-            comm_every: self.cfg.comm_every,
-            participation_k: self.cfg.participation_k,
-            n_clients: self.clients.len(),
-        }
-    }
-
-    /// Serializes the full training state (round cursor, loss probes,
-    /// per-client agent snapshots and reward histories, fault bookkeeping)
-    /// into a standalone checkpoint. Construction-time configuration
-    /// (mixing matrix, secure flag, fault plan) is *not* stored — restore
-    /// into a runner built the same way.
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.fingerprint().write(&mut w);
-        w.usize(self.rounds_done);
-        w.usize(self.loss_probes.len());
-        for p in &self.loss_probes {
-            w.usize(p.round);
-            w.f64(p.loss_before);
-            w.f64(p.loss_after);
-        }
-        for c in &self.clients {
-            w.vec_f64(&c.rewards);
-            w.usize(c.episodes_done());
-            write_ppo_agent(&mut w, &c.agent.snapshot());
-        }
-        for f in self.fault.client_states() {
-            write_client_fault(&mut w, f);
-        }
-        w.finish()
-    }
-
-    /// Restores state captured by [`Self::checkpoint_bytes`] into a runner
-    /// built with the same configuration.
-    ///
-    /// Malformed, truncated, or mismatched checkpoints surface as
-    /// [`FedError::Checkpoint`].
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError> {
-        self.restore_impl(bytes).map_err(FedError::checkpoint)
-    }
-
-    fn restore_impl(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes)?;
-        Fingerprint::check(&mut r, &self.fingerprint())?;
-        let rounds_done = r.usize()?;
-        let n_probes = r.usize()?;
-        let mut probes = Vec::with_capacity(n_probes);
-        for _ in 0..n_probes {
-            probes.push(RoundLossProbe {
-                round: r.usize()?,
-                loss_before: r.f64()?,
-                loss_after: r.f64()?,
-            });
-        }
-        let mut snaps = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            let rewards = r.vec_f64()?;
-            let episodes_done = r.usize()?;
-            snaps.push((rewards, episodes_done, read_ppo_agent(&mut r)?));
-        }
-        let mut faults = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            faults.push(read_client_fault(&mut r)?);
-        }
-        r.finish()?;
-        self.rounds_done = rounds_done;
-        self.loss_probes = probes;
-        for (c, (rewards, episodes_done, snap)) in self.clients.iter_mut().zip(snaps) {
-            c.rewards = rewards;
-            c.restore_episode_cursor(episodes_done);
-            c.agent.restore(&snap);
-        }
-        self.fault.restore_client_states(faults);
-        Ok(())
+    /// Critic-loss probes collected at every aggregation.
+    pub fn loss_probes(&self) -> &[RoundLossProbe] {
+        &self.strategy.loss_probes
     }
 }
 
@@ -602,7 +228,9 @@ impl FedAvgRunner {
 mod tests {
     use super::*;
     use crate::config::tests_support::small_setups;
+    use crate::federation::run_all;
     use pfrl_nn::params::average_params;
+    use pfrl_rl::PpoConfig;
 
     fn fed(episodes: usize) -> FedConfig {
         FedConfig {
@@ -626,7 +254,7 @@ mod tests {
         for c in &r.clients[1..] {
             assert_eq!(c.agent.actor_params(), p0);
         }
-        assert_eq!(r.loss_probes.len(), 2);
+        assert_eq!(r.loss_probes().len(), 2);
     }
 
     #[test]
@@ -636,7 +264,7 @@ mod tests {
         run_all(&mut r.clients, 2, false);
         let before: Vec<Vec<f32>> = r.clients.iter().map(|c| c.agent.actor_params()).collect();
         let mean = average_params(&before);
-        r.aggregate(0);
+        r.aggregate();
         let after = r.clients[0].agent.actor_params();
         for (a, m) in after.iter().zip(&mean) {
             assert!((a - m).abs() < 1e-6);
@@ -650,7 +278,7 @@ mod tests {
             .with_mixing(Matrix::identity(2));
         run_all(&mut r.clients, 1, false);
         let before: Vec<Vec<f32>> = r.clients.iter().map(|c| c.agent.actor_params()).collect();
-        r.aggregate(0);
+        r.aggregate();
         for (c, b) in r.clients.iter().zip(&before) {
             assert_eq!(&c.agent.actor_params(), b);
         }
@@ -661,9 +289,9 @@ mod tests {
         let (setups, dims, env_cfg) = small_setups(2);
         let mut r = FedAvgRunner::new(setups, dims, env_cfg, PpoConfig::default(), fed(2));
         run_all(&mut r.clients, 2, false);
-        r.aggregate(0);
-        assert_eq!(r.loss_probes.len(), 1);
-        let p = r.loss_probes[0];
+        r.aggregate();
+        assert_eq!(r.loss_probes().len(), 1);
+        let p = r.loss_probes()[0];
         assert!(p.loss_before.is_finite() && p.loss_after.is_finite());
         assert!(p.loss_before >= 0.0 && p.loss_after >= 0.0);
     }
@@ -677,8 +305,8 @@ mod tests {
             .with_secure_aggregation(true);
         run_all(&mut plain.clients, 2, false);
         run_all(&mut secure.clients, 2, false);
-        plain.aggregate(0);
-        secure.aggregate(0);
+        plain.aggregate();
+        secure.aggregate();
         let a = plain.clients[0].agent.actor_params();
         let b = secure.clients[0].agent.actor_params();
         for (x, y) in a.iter().zip(&b) {

@@ -1,272 +1,44 @@
 //! Independent (non-federated) PPO training — the paper's "PPO" baseline.
 
-use crate::checkpoint::{read_ppo_agent, write_ppo_agent, Fingerprint, Reader, Writer};
-use crate::client::{Client, FedAgent};
-use crate::config::{ClientSetup, FedConfig};
-use crate::curves::TrainingCurves;
-use crate::error::FedError;
-use crate::fault::{FaultPlan, FaultState, QuarantinePolicy};
-use pfrl_rl::{PpoAgent, PpoConfig};
-use pfrl_sim::{EnvConfig, EnvDims};
-use pfrl_stats::seeding::SeedStream;
-use pfrl_telemetry::Telemetry;
-use rayon::prelude::*;
+use crate::checkpoint::{Reader, Writer};
+use crate::federation::{Federation, Round, Strategy};
+use pfrl_rl::PpoAgent;
 use std::io;
 
-/// Runs `n` episodes on every client, in parallel when configured. Results
-/// are identical to the sequential order because clients share no state.
-pub(crate) fn run_all<A: FedAgent>(clients: &mut [Client<A>], n: usize, parallel: bool) {
-    if parallel {
-        clients.par_iter_mut().for_each(|c| c.run_episodes(n));
-    } else {
-        clients.iter_mut().for_each(|c| c.run_episodes(n));
-    }
-}
+/// The no-communication strategy: clients train alone. Rounds keep the
+/// federated runners' chunking (so wall-clock and RNG usage compare) and
+/// book presence, so a fault plan or churn schedule surfaces in telemetry
+/// while training itself is untouched — the baseline's role in chaos,
+/// attack, and drift experiments.
+#[derive(Debug, Clone, Default)]
+pub struct Independent;
 
-/// Extracts the reward curves from a set of clients.
-pub(crate) fn curves_of<A: FedAgent>(clients: &[Client<A>]) -> TrainingCurves {
-    TrainingCurves { per_client: clients.iter().map(|c| c.rewards.clone()).collect() }
-}
+impl Strategy for Independent {
+    type Agent = PpoAgent;
+    const NAME: &'static str = "PPO";
+    const TAG: u8 = 0;
+    const STREAMS: usize = 0;
 
-/// Derives the deterministic agent seed for client `i`.
-pub(crate) fn agent_seed(fed_cfg: &FedConfig, i: usize) -> u64 {
-    SeedStream::new(fed_cfg.seed).child("agent").index(i as u64).seed()
-}
-
-/// Baseline runner: every client trains alone, no communication.
-pub struct IndependentRunner {
-    /// The isolated clients.
-    pub clients: Vec<Client<PpoAgent>>,
-    cfg: FedConfig,
-    rounds_done: usize,
-    fault: FaultState,
-    telemetry: Telemetry,
-}
-
-impl IndependentRunner {
-    /// Builds one PPO client per setup.
-    pub fn new(
-        setups: Vec<ClientSetup>,
-        dims: EnvDims,
-        env_cfg: EnvConfig,
-        ppo_cfg: PpoConfig,
-        fed_cfg: FedConfig,
-    ) -> Self {
-        fed_cfg.validate(setups.len());
-        let clients = setups
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let agent = PpoAgent::new(
-                    dims.state_dim(),
-                    dims.action_dim(),
-                    ppo_cfg,
-                    agent_seed(&fed_cfg, i),
-                );
-                Client::new(s, agent, dims, env_cfg, &fed_cfg, i)
-            })
-            .collect::<Vec<_>>();
-        let n = clients.len();
-        Self {
-            clients,
-            cfg: fed_cfg,
-            rounds_done: 0,
-            fault: FaultState::new(FaultPlan::none(), QuarantinePolicy::default(), n),
-            telemetry: Telemetry::noop(),
-        }
-    }
-
-    /// Routes runner, agent, and environment metrics to `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        for c in &mut self.clients {
-            c.set_telemetry(telemetry.clone());
-        }
-        self.fault.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Installs a deterministic fault schedule, for API parity with the
-    /// federated runners. Without communication there is nothing to drop
-    /// or quarantine, so the schedule only surfaces in telemetry (the
-    /// `fed/dropouts` / `fed/stragglers` counters and the participation
-    /// gauge) — training itself is untouched, which is exactly the
-    /// baseline's role in chaos experiments.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        let policy = *self.fault.policy();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Accepts an adversarial-upload schedule for API parity with the
-    /// federated runners. Independent clients never upload, so a poisoning
-    /// coalition has nothing to poison — the plan is stored (and validated)
-    /// but training is untouched, which is exactly the baseline's role in
-    /// robustness experiments.
-    pub fn with_attack_plan(mut self, plan: crate::attack::AttackPlan) -> Self {
-        self.fault.set_attack(plan);
-        self
-    }
-
-    /// Accepts a robust-aggregation config for API parity with the
-    /// federated runners. There is no server and no aggregation here, so
-    /// the config is validated and dropped.
-    pub fn with_robust_aggregator(self, robust: crate::robust::RobustConfig) -> Self {
-        robust.validate();
-        self
-    }
-
-    /// Installs a deterministic scenario (see [`pfrl_scenario`]): clients
-    /// regenerate their episode traces from the drift plan and the plan's
-    /// churn schedule drives cohort membership. For the isolated baseline
-    /// the churn only surfaces in telemetry — there is no cohort to leave —
-    /// but the drifting workloads hit training exactly as they do for the
-    /// federated runners.
-    pub fn with_scenario(mut self, binding: &pfrl_scenario::ScenarioBinding) -> Self {
-        crate::client::install_scenario(
-            &mut self.clients,
-            &mut self.fault,
-            binding,
-            self.cfg.tasks_per_episode,
-        );
-        self
-    }
-
-    /// Switches every client to DAG workflow scheduling: client `i` draws
-    /// its episodes from `pools[i]` (seeded windows of `per_episode`
-    /// workflows; `None` replays the full pool each episode).
-    pub fn with_workflows(
-        mut self,
-        pools: Vec<Vec<pfrl_workloads::workflow::Workflow>>,
-        per_episode: Option<usize>,
-    ) -> Self {
-        assert_eq!(pools.len(), self.clients.len(), "one workflow pool per client");
-        for (c, pool) in self.clients.iter_mut().zip(pools) {
-            c.use_workflows(pool, per_episode);
-        }
-        self
-    }
-
-    /// Trains every client for the configured number of episodes and
-    /// returns the reward curves. Resume-safe: starts from `rounds_done`.
-    pub fn train(&mut self) -> TrainingCurves {
-        // Chunked identically to the federated runners so wall-clock and
-        // rng usage are comparable.
-        while self.rounds_done < self.cfg.rounds() {
-            self.train_round();
-        }
-        self.finish()
-    }
-
-    /// One round-sized chunk of local training.
-    pub fn train_round(&mut self) {
-        let _round = self.telemetry.span("fed/round");
-        {
-            let _local = self.telemetry.span("fed/round/local_train");
-            run_all(&mut self.clients, self.cfg.comm_every, self.cfg.parallel);
-        }
-        let round = self.rounds_done;
-        let presences = self.fault.begin_round(round);
-        let present = presences.iter().filter(|p| p.is_present()).count();
-        for (i, p) in presences.iter().enumerate() {
-            if !p.is_present() {
-                self.fault.note_missed(i);
-            }
-        }
-        self.fault.record_participation(present);
-        self.telemetry.counter("fed/rounds", 1);
-        self.rounds_done += 1;
-    }
-
-    /// Runs any leftover episodes and returns the curves. Idempotent: each
-    /// client is trained up to the episode budget.
-    pub fn finish(&mut self) -> TrainingCurves {
-        let done = self.clients.first().map_or(0, |c| c.episodes_done());
-        if self.cfg.episodes > done {
-            let _local = self.telemetry.span("fed/round/local_train");
-            run_all(&mut self.clients, self.cfg.episodes - done, self.cfg.parallel);
-        }
-        curves_of(&self.clients)
-    }
-
-    /// The schedule in use.
-    pub fn config(&self) -> &FedConfig {
-        &self.cfg
-    }
-
-    /// Round-sized training chunks completed so far.
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Independent training never uploads, so no arena capacity is pooled.
-    pub fn arena_bytes(&self) -> u64 {
+    fn upload(_: &PpoAgent, _: &mut [Vec<f32>]) {}
+    fn reduce(&mut self, _: &mut Round<'_, PpoAgent>) {}
+    fn broadcast(&mut self, _: &mut Round<'_, PpoAgent>) -> u64 {
         0
     }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            algo: 0,
-            seed: self.cfg.seed,
-            episodes: self.cfg.episodes,
-            comm_every: self.cfg.comm_every,
-            participation_k: self.cfg.participation_k,
-            n_clients: self.clients.len(),
-        }
-    }
-
-    /// Serializes the full training state (round cursor, per-client agent
-    /// snapshots and reward histories).
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.fingerprint().write(&mut w);
-        w.usize(self.rounds_done);
-        for c in &self.clients {
-            w.vec_f64(&c.rewards);
-            w.usize(c.episodes_done());
-            write_ppo_agent(&mut w, &c.agent.snapshot());
-        }
-        w.finish()
-    }
-
-    /// Restores state captured by [`Self::checkpoint_bytes`]. Malformed,
-    /// truncated, or mismatched checkpoints surface as
-    /// [`FedError::Checkpoint`].
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError> {
-        self.restore_impl(bytes).map_err(FedError::checkpoint)
-    }
-
-    fn restore_impl(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes)?;
-        Fingerprint::check(&mut r, &self.fingerprint())?;
-        let rounds_done = r.usize()?;
-        let mut snaps = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            let rewards = r.vec_f64()?;
-            let episodes_done = r.usize()?;
-            snaps.push((rewards, episodes_done, read_ppo_agent(&mut r)?));
-        }
-        r.finish()?;
-        self.rounds_done = rounds_done;
-        for (c, (rewards, episodes_done, snap)) in self.clients.iter_mut().zip(snaps) {
-            c.rewards = rewards;
-            c.restore_episode_cursor(episodes_done);
-            c.agent.restore(&snap);
-        }
+    fn write_state(&self, _: &mut Writer) {}
+    fn read_state(&mut self, _: &mut Reader<'_>, _: &[usize]) -> io::Result<()> {
         Ok(())
     }
 }
+
+/// Baseline runner: every client trains alone, no communication.
+pub type IndependentRunner = Federation<Independent>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::tests_support::small_setups;
+    use crate::config::FedConfig;
+    use pfrl_rl::PpoConfig;
 
     #[test]
     fn trains_all_clients_for_all_episodes() {

@@ -1,18 +1,24 @@
 //! Federated reinforcement learning runtime for PFRL-DM (Sec. 4.4–4.5).
 //!
-//! The crate provides four interchangeable federation runners sharing one
-//! client/round machinery:
+//! One round driver, [`Federation`]`<S>`, runs Algorithm 1's loop for
+//! every algorithm: local episodes, uploads gated by the fault and robust
+//! layers, a server reduction, a broadcast, plus telemetry and
+//! checkpointing. Each algorithm is a [`Strategy`] supplying only what
+//! ships and how the server reduces and broadcasts it; a new algorithm is
+//! a new strategy, not a new runner. The four strategies of the paper,
+//! with their runner aliases:
 //!
-//! * [`IndependentRunner`] — no communication (the paper's "PPO" baseline);
-//! * [`FedAvgRunner`] — classic FedAvg over both actor and critic
-//!   parameters (optionally with a custom per-client mixing matrix, used by
-//!   the Fig. 10 weighting study);
-//! * [`MfpoRunner`] — momentum-based FRL in the spirit of MFPO (server- and
-//!   client-side momentum on the aggregated parameter deltas; see DESIGN.md
+//! * [`Independent`] ([`IndependentRunner`]) — no communication (the
+//!   paper's "PPO" baseline);
+//! * [`FedAvg`] ([`FedAvgRunner`]) — classic FedAvg over both actor and
+//!   critic parameters (optionally with a custom per-client mixing matrix,
+//!   used by the Fig. 10 weighting study);
+//! * [`Mfpo`] ([`MfpoRunner`]) — momentum-based FRL in the spirit of MFPO
+//!   (server momentum on the aggregated parameter deltas; see DESIGN.md
 //!   for the substitution rationale);
-//! * [`PfrlDmRunner`] — the paper's contribution: dual-critic clients that
-//!   upload only their public critics, personalized on the server by
-//!   multi-head attention weights (Algorithm 1).
+//! * [`PfrlDm`] ([`PfrlDmRunner`]) — the paper's contribution: dual-critic
+//!   clients that upload only their public critics, personalized on the
+//!   server by multi-head attention weights (Algorithm 1).
 //!
 //! Clients train in parallel (rayon) between communication points; every
 //! stochastic stream is seeded per `(experiment, client, episode)`, so runs
@@ -26,6 +32,7 @@ pub mod curves;
 pub mod error;
 pub mod fault;
 pub mod fedavg;
+pub mod federation;
 pub mod independent;
 pub mod mfpo;
 pub mod pfrl_dm;
@@ -44,10 +51,11 @@ pub use fault::{
     AbsenceReason, AcceptedUpload, ClientFault, Corruption, FaultEvent, FaultPlan, FaultState,
     Presence, QuarantinePolicy, RejectReason, UpdateFault,
 };
-pub use fedavg::{FedAvgRunner, RoundLossProbe};
-pub use independent::IndependentRunner;
-pub use mfpo::MfpoRunner;
-pub use pfrl_dm::PfrlDmRunner;
+pub use fedavg::{FedAvg, FedAvgRunner, RoundLossProbe};
+pub use federation::{Federation, Round, Strategy};
+pub use independent::{Independent, IndependentRunner};
+pub use mfpo::{Mfpo, MfpoRunner};
+pub use pfrl_dm::{PfrlDm, PfrlDmRunner};
 pub use pfrl_scenario as scenario;
 pub use robust::{RobustAggregator, RobustConfig, RobustScratch};
 pub use runner::{ClientView, FederatedRunner};

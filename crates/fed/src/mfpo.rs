@@ -10,20 +10,12 @@
 //! (FedAvg-M form): `v ← β·v + (x̄ − x_g)`, `x_g ← x_g + v`, broadcast
 //! `x_g`, applied to both actor and critic.
 
-use crate::attack::AttackPlan;
-use crate::checkpoint::{
-    read_client_fault, read_ppo_agent, write_client_fault, write_ppo_agent, Fingerprint, Reader,
-    Writer,
-};
+use crate::checkpoint::{read_params, Reader, Writer};
 use crate::client::Client;
 use crate::config::{ClientSetup, FedConfig};
-use crate::curves::TrainingCurves;
-use crate::error::FedError;
-use crate::fault::{AcceptedUpload, FaultPlan, FaultState, Presence, QuarantinePolicy};
-use crate::fedavg::param_bytes;
-use crate::independent::{agent_seed, curves_of, run_all};
-use crate::robust::{reduce_into, screen_uploads, RobustConfig, RobustScratch};
-use crate::runner::UploadArena;
+use crate::fedavg::{download_ppo, mean_critic_loss, upload_ppo};
+use crate::federation::{Federation, Round, Strategy};
+use crate::robust::reduce_into;
 use pfrl_rl::{PpoAgent, PpoConfig};
 use pfrl_sim::{EnvConfig, EnvDims};
 use pfrl_telemetry::Telemetry;
@@ -38,53 +30,116 @@ fn momentum_step(server: &mut [f32], velocity: &mut [f32], avg: &[f32], beta: f3
     }
 }
 
-/// Reusable per-round aggregation buffers (see `fedavg::AggWorkspace`).
-#[derive(Default)]
-struct AggWorkspace {
-    presences: Vec<Presence>,
-    accepted: Vec<AcceptedUpload>,
-    actors: Vec<Vec<f32>>,
-    critics: Vec<Vec<f32>>,
-    actor_avg: Vec<f32>,
-    critic_avg: Vec<f32>,
-    robust: RobustScratch,
-}
-
-/// Momentum-FRL runner.
-pub struct MfpoRunner {
-    /// Participating clients.
-    pub clients: Vec<Client<PpoAgent>>,
-    cfg: FedConfig,
+/// The MFPO strategy: ships `[actor, critic]`, folds the survivors' average
+/// into the server model through momentum, and broadcasts the server model
+/// to every connected client.
+#[derive(Clone)]
+pub struct Mfpo {
     beta: f32,
-    server_actor: Vec<f32>,
-    server_critic: Vec<f32>,
-    vel_actor: Vec<f32>,
-    vel_critic: Vec<f32>,
-    rounds_done: usize,
-    fault: FaultState,
-    robust: RobustConfig,
-    telemetry: Telemetry,
-    arena: UploadArena,
-    agg: AggWorkspace,
+    /// Server model `[actor, critic]`.
+    server: [Vec<f32>; 2],
+    /// Momentum velocities `[actor, critic]`.
+    velocity: [Vec<f32>; 2],
+    /// The round's client average feeding the momentum.
+    avg: Vec<f32>,
 }
 
-impl MfpoRunner {
+impl Mfpo {
     /// Default server momentum coefficient (as in FedAvgM practice and the
     /// MFPO paper's momentum range).
     pub const DEFAULT_BETA: f32 = 0.9;
 
-    /// Builds the federation; the server model starts from client 0's
-    /// initialization and is broadcast so all clients share a start point.
-    pub fn new(
-        setups: Vec<ClientSetup>,
-        dims: EnvDims,
-        env_cfg: EnvConfig,
-        ppo_cfg: PpoConfig,
-        fed_cfg: FedConfig,
-    ) -> Self {
-        Self::with_beta(setups, dims, env_cfg, ppo_cfg, fed_cfg, Self::DEFAULT_BETA)
+    /// The strategy with momentum coefficient `beta ∈ [0, 1)`.
+    pub fn new(beta: f32) -> Self {
+        assert!((0.0..1.0).contains(&beta), "beta out of [0,1)");
+        Self { beta, server: Default::default(), velocity: Default::default(), avg: Vec::new() }
+    }
+}
+
+impl Default for Mfpo {
+    fn default() -> Self {
+        Self::new(Self::DEFAULT_BETA)
+    }
+}
+
+impl Strategy for Mfpo {
+    type Agent = PpoAgent;
+    const NAME: &'static str = "MFPO";
+    const TAG: u8 = 2;
+    const STREAMS: usize = 2;
+
+    /// The server model starts from client 0's initialization and is
+    /// broadcast so all clients share a start point.
+    fn init(&mut self, _: &FedConfig, clients: &mut [Client<PpoAgent>]) {
+        self.server = [clients[0].agent.actor_params(), clients[0].agent.critic_params()];
+        for c in clients.iter_mut() {
+            download_ppo(&mut c.agent, &self.server[0], &self.server[1]);
+        }
+        self.velocity = [vec![0.0; self.server[0].len()], vec![0.0; self.server[1].len()]];
     }
 
+    fn upload(agent: &PpoAgent, streams: &mut [Vec<f32>]) {
+        upload_ppo(agent, streams);
+    }
+
+    /// The robust reduction replaces the plain client average that feeds
+    /// the momentum (Mean delegates bit-identically).
+    fn reduce(&mut self, r: &mut Round<'_, PpoAgent>) {
+        for s in 0..2 {
+            reduce_into(r.robust.aggregator, &r.uploads[s], r.scratch, &mut self.avg, r.telemetry);
+            momentum_step(&mut self.server[s], &mut self.velocity[s], &self.avg, self.beta);
+        }
+    }
+
+    fn broadcast(&mut self, r: &mut Round<'_, PpoAgent>) -> u64 {
+        let mut receivers = 0u64;
+        for i in 0..r.clients.len() {
+            if r.presences[i].is_present() {
+                download_ppo(&mut r.clients[i].agent, &self.server[0], &self.server[1]);
+                r.fault.note_refreshed(i);
+                receivers += 1;
+            }
+        }
+        receivers * 4 * (self.server[0].len() + self.server[1].len()) as u64
+    }
+
+    fn critic_loss(&self, clients: &[Client<PpoAgent>], t: &Telemetry) -> Option<f64> {
+        t.is_enabled().then(|| mean_critic_loss(clients)).flatten()
+    }
+
+    fn write_config(&self, w: &mut Writer) {
+        w.f32(self.beta);
+    }
+
+    fn check_config(&self, r: &mut Reader<'_>) -> io::Result<()> {
+        let beta = r.f32()?;
+        if beta != self.beta {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("checkpoint beta {beta} vs runner beta {}", self.beta),
+            ));
+        }
+        Ok(())
+    }
+
+    fn write_state(&self, w: &mut Writer) {
+        for v in self.server.iter().chain(&self.velocity) {
+            w.vec_f32(v);
+        }
+    }
+
+    fn read_state(&mut self, r: &mut Reader<'_>, lens: &[usize]) -> io::Result<()> {
+        for (i, v) in self.server.iter_mut().chain(&mut self.velocity).enumerate() {
+            *v = read_params(r, "MFPO server state", lens[i % 2])?;
+        }
+        Ok(())
+    }
+}
+
+/// Momentum-FRL runner.
+pub type MfpoRunner = Federation<Mfpo>;
+
+impl Federation<Mfpo> {
     /// Builds the federation with an explicit momentum coefficient.
     pub fn with_beta(
         setups: Vec<ClientSetup>,
@@ -94,412 +149,13 @@ impl MfpoRunner {
         fed_cfg: FedConfig,
         beta: f32,
     ) -> Self {
-        fed_cfg.validate(setups.len());
-        assert!((0.0..1.0).contains(&beta), "beta out of [0,1)");
-        let mut clients: Vec<Client<PpoAgent>> = setups
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let agent = PpoAgent::new(
-                    dims.state_dim(),
-                    dims.action_dim(),
-                    ppo_cfg,
-                    agent_seed(&fed_cfg, i),
-                );
-                Client::new(s, agent, dims, env_cfg, &fed_cfg, i)
-            })
-            .collect();
-        let server_actor = clients[0].agent.actor_params();
-        let server_critic = clients[0].agent.critic_params();
-        for c in &mut clients {
-            c.agent.set_actor_params(&server_actor);
-            c.agent.set_critic_params(&server_critic);
-        }
-        let vel_actor = vec![0.0; server_actor.len()];
-        let vel_critic = vec![0.0; server_critic.len()];
-        let n = clients.len();
-        Self {
-            clients,
-            cfg: fed_cfg,
-            beta,
-            server_actor,
-            server_critic,
-            vel_actor,
-            vel_critic,
-            rounds_done: 0,
-            fault: FaultState::new(FaultPlan::none(), QuarantinePolicy::default(), n),
-            robust: RobustConfig::default(),
-            telemetry: Telemetry::noop(),
-            arena: UploadArena::new(),
-            agg: AggWorkspace::default(),
-        }
-    }
-
-    /// Routes runner, agent, and environment metrics to `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        for c in &mut self.clients {
-            c.set_telemetry(telemetry.clone());
-        }
-        self.fault.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Installs a deterministic fault schedule (see [`crate::fault`]).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        let policy = *self.fault.policy();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Overrides the update-quarantine policy.
-    pub fn with_quarantine_policy(mut self, policy: QuarantinePolicy) -> Self {
-        let plan = *self.fault.plan();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a deterministic Byzantine attack schedule (see
-    /// [`crate::attack`]).
-    pub fn with_attack_plan(mut self, plan: AttackPlan) -> Self {
-        self.fault.set_attack(plan);
-        self
-    }
-
-    /// Installs the Byzantine-robust aggregation config (see
-    /// [`crate::robust`]): screens run over the gated uploads, and the
-    /// configured reduction replaces the plain client average that feeds
-    /// the server momentum. The default is bit-identical to a runner
-    /// without the layer.
-    pub fn with_robust_aggregator(mut self, robust: RobustConfig) -> Self {
-        robust.validate();
-        self.robust = robust;
-        self
-    }
-
-    /// Installs a deterministic scenario (workload drift + churn, see
-    /// [`pfrl_scenario`]): drifting clients regenerate their episode traces
-    /// from the plan, and the plan's churn schedule drives which clients are
-    /// in the cohort each round.
-    pub fn with_scenario(mut self, binding: &pfrl_scenario::ScenarioBinding) -> Self {
-        crate::client::install_scenario(
-            &mut self.clients,
-            &mut self.fault,
-            binding,
-            self.cfg.tasks_per_episode,
-        );
-        self
-    }
-
-    /// Switches every client to DAG workflow scheduling: client `i` draws
-    /// its episodes from `pools[i]` (seeded windows of `per_episode`
-    /// workflows; `None` replays the full pool each episode).
-    pub fn with_workflows(
-        mut self,
-        pools: Vec<Vec<pfrl_workloads::workflow::Workflow>>,
-        per_episode: Option<usize>,
-    ) -> Self {
-        assert_eq!(pools.len(), self.clients.len(), "one workflow pool per client");
-        for (c, pool) in self.clients.iter_mut().zip(pools) {
-            c.use_workflows(pool, per_episode);
-        }
-        self
-    }
-
-    /// Full training run. Resume-safe: starts from `rounds_done`.
-    pub fn train(&mut self) -> TrainingCurves {
-        while self.rounds_done < self.cfg.rounds() {
-            self.train_round();
-        }
-        self.finish()
-    }
-
-    /// One communication round: local episodes then a momentum aggregation.
-    pub fn train_round(&mut self) {
-        let t = self.telemetry.clone();
-        let round_span = t.span("fed/round");
-        {
-            let _local = round_span.child("local_train");
-            run_all(&mut self.clients, self.cfg.comm_every, self.cfg.parallel);
-        }
-        self.aggregate();
-    }
-
-    /// Runs any leftover episodes past the last aggregation and returns the
-    /// curves. Idempotent: each client is trained up to the episode budget.
-    pub fn finish(&mut self) -> TrainingCurves {
-        let done = self.clients.first().map_or(0, |c| c.episodes_done());
-        if self.cfg.episodes > done {
-            run_all(&mut self.clients, self.cfg.episodes - done, self.cfg.parallel);
-        }
-        curves_of(&self.clients)
-    }
-
-    /// One momentum aggregation + broadcast over the round's surviving
-    /// subset: the client average feeding the server momentum is taken over
-    /// gated uploads only, and the refreshed server model is broadcast to
-    /// connected clients only.
-    pub fn aggregate(&mut self) {
-        let round = self.rounds_done;
-        let n = self.clients.len();
-        self.fault.begin_round_into(round, &mut self.agg.presences);
-
-        let upload = self.telemetry.span("fed/round/upload");
-        self.agg.accepted.clear();
-        for i in 0..n {
-            let p = self.agg.presences[i];
-            if !p.is_present() {
-                self.fault.note_missed(i);
-                continue;
-            }
-            // Uploads flow through the pooled arena (see `UploadArena`).
-            let mut streams = self.arena.acquire(2);
-            self.clients[i].agent.actor_params_into(&mut streams[0]);
-            self.clients[i].agent.critic_params_into(&mut streams[1]);
-            if let Some(up) = self.fault.gate_upload(round, i, streams, p) {
-                self.agg.accepted.push(up);
-            }
-        }
-        drop(upload);
-        // Cohort-relative robust screens (no-ops on the default config).
-        screen_uploads(
-            &self.robust,
-            round,
-            &mut self.fault,
-            &mut self.agg.accepted,
-            &mut self.arena,
-            &mut self.agg.robust,
-        );
-        self.fault.record_participation(self.agg.accepted.len());
-        if self.agg.accepted.is_empty() {
-            // No surviving uploads: the server model (and its momentum)
-            // stays put, nothing is broadcast.
-            self.telemetry.counter("fed/rounds", 1);
-            self.rounds_done += 1;
-            return;
-        }
-        let agg_start = std::time::Instant::now();
-        let k = self.agg.accepted.len();
-        self.agg.actors.truncate(k);
-        self.agg.critics.truncate(k);
-        while self.agg.actors.len() < k {
-            self.agg.actors.push(Vec::new());
-        }
-        while self.agg.critics.len() < k {
-            self.agg.critics.push(Vec::new());
-        }
-        for (dst, u) in self.agg.actors.iter_mut().zip(&self.agg.accepted) {
-            dst.clone_from(&u.streams[0]);
-        }
-        for (dst, u) in self.agg.critics.iter_mut().zip(&self.agg.accepted) {
-            dst.clone_from(&u.streams[1]);
-        }
-        // The upload buffers are copied out; park them for the next round.
-        for up in self.agg.accepted.drain(..) {
-            self.arena.release(up.streams);
-        }
-        // Like FedAvg, MFPO ships both networks client → server.
-        self.telemetry.counter(
-            "fed/bytes_up",
-            param_bytes(&self.agg.actors) + param_bytes(&self.agg.critics),
-        );
-
-        let loss_before = self.mean_critic_loss();
-
-        {
-            let _agg = self.telemetry.span("fed/round/aggregate");
-            // The robust reduction replaces the plain client average that
-            // feeds the momentum (Mean delegates bit-identically).
-            reduce_into(
-                self.robust.aggregator,
-                &self.agg.actors,
-                &mut self.agg.robust,
-                &mut self.agg.actor_avg,
-                &self.telemetry,
-            );
-            reduce_into(
-                self.robust.aggregator,
-                &self.agg.critics,
-                &mut self.agg.robust,
-                &mut self.agg.critic_avg,
-                &self.telemetry,
-            );
-            momentum_step(
-                &mut self.server_actor,
-                &mut self.vel_actor,
-                &self.agg.actor_avg,
-                self.beta,
-            );
-            momentum_step(
-                &mut self.server_critic,
-                &mut self.vel_critic,
-                &self.agg.critic_avg,
-                self.beta,
-            );
-        }
-
-        let mut receivers = 0u64;
-        {
-            let _broadcast = self.telemetry.span("fed/round/broadcast");
-            for i in 0..n {
-                if !self.agg.presences[i].is_present() {
-                    continue;
-                }
-                self.clients[i].agent.set_actor_params(&self.server_actor);
-                self.clients[i].agent.set_critic_params(&self.server_critic);
-                self.fault.note_refreshed(i);
-                receivers += 1;
-            }
-        }
-        self.telemetry.counter(
-            "fed/bytes_down",
-            receivers * 4 * (self.server_actor.len() + self.server_critic.len()) as u64,
-        );
-        self.telemetry.observe("fed/agg_wall_us", agg_start.elapsed().as_secs_f64() * 1e6);
-        self.telemetry.gauge("fed/arena_bytes", self.arena.pooled_bytes() as f64);
-
-        if let (Some(b), Some(a)) = (loss_before, self.mean_critic_loss()) {
-            self.telemetry.observe("fed/critic_loss_before_agg", b);
-            self.telemetry.observe("fed/critic_loss_after_agg", a);
-        }
-        self.telemetry.counter("fed/rounds", 1);
-        self.rounds_done += 1;
-    }
-
-    /// Mean critic loss across clients on their own last episodes.
-    fn mean_critic_loss(&self) -> Option<f64> {
-        if !self.telemetry.is_enabled() {
-            return None;
-        }
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        for c in &self.clients {
-            if let Some(l) = c.agent.critic_loss_on_last_episode() {
-                sum += l as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum / count as f64)
-        }
-    }
-
-    /// The schedule in use.
-    pub fn config(&self) -> &FedConfig {
-        &self.cfg
-    }
-
-    /// Communication rounds completed so far.
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Bytes of `f32` capacity pooled in the upload arena between rounds.
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena.pooled_bytes()
-    }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            algo: 2,
-            seed: self.cfg.seed,
-            episodes: self.cfg.episodes,
-            comm_every: self.cfg.comm_every,
-            participation_k: self.cfg.participation_k,
-            n_clients: self.clients.len(),
-        }
-    }
-
-    /// Serializes the full training state — server model and momentum
-    /// velocities, round cursor, per-client agent snapshots and reward
-    /// histories, fault bookkeeping. Restore into a runner built with the
-    /// same configuration (including `beta`).
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.fingerprint().write(&mut w);
-        w.f32(self.beta);
-        w.usize(self.rounds_done);
-        w.vec_f32(&self.server_actor);
-        w.vec_f32(&self.server_critic);
-        w.vec_f32(&self.vel_actor);
-        w.vec_f32(&self.vel_critic);
-        for c in &self.clients {
-            w.vec_f64(&c.rewards);
-            w.usize(c.episodes_done());
-            write_ppo_agent(&mut w, &c.agent.snapshot());
-        }
-        for f in self.fault.client_states() {
-            write_client_fault(&mut w, f);
-        }
-        w.finish()
-    }
-
-    /// Restores state captured by [`Self::checkpoint_bytes`].
-    ///
-    /// Malformed, truncated, or mismatched checkpoints surface as
-    /// [`FedError::Checkpoint`].
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError> {
-        self.restore_impl(bytes).map_err(FedError::checkpoint)
-    }
-
-    fn restore_impl(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes)?;
-        Fingerprint::check(&mut r, &self.fingerprint())?;
-        let beta = r.f32()?;
-        if beta != self.beta {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint beta {beta} vs runner beta {}", self.beta),
-            ));
-        }
-        let rounds_done = r.usize()?;
-        let server_actor = r.vec_f32()?;
-        let server_critic = r.vec_f32()?;
-        let vel_actor = r.vec_f32()?;
-        let vel_critic = r.vec_f32()?;
-        let mut snaps = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            let rewards = r.vec_f64()?;
-            let episodes_done = r.usize()?;
-            snaps.push((rewards, episodes_done, read_ppo_agent(&mut r)?));
-        }
-        let mut faults = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            faults.push(read_client_fault(&mut r)?);
-        }
-        r.finish()?;
-        self.rounds_done = rounds_done;
-        self.server_actor = server_actor;
-        self.server_critic = server_critic;
-        self.vel_actor = vel_actor;
-        self.vel_critic = vel_critic;
-        for (c, (rewards, episodes_done, snap)) in self.clients.iter_mut().zip(snaps) {
-            c.rewards = rewards;
-            c.restore_episode_cursor(episodes_done);
-            c.agent.restore(&snap);
-        }
-        self.fault.restore_client_states(faults);
-        Ok(())
+        Self::with_strategy(Mfpo::new(beta), setups, dims, env_cfg, ppo_cfg, fed_cfg)
     }
 
     /// Current L2 norm of the actor velocity (diagnostics: how much history
     /// the momentum is carrying).
     pub fn actor_velocity_norm(&self) -> f32 {
-        self.vel_actor.iter().map(|v| v * v).sum::<f32>().sqrt()
+        self.strategy.velocity[0].iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -507,6 +163,7 @@ impl MfpoRunner {
 mod tests {
     use super::*;
     use crate::config::tests_support::small_setups;
+    use crate::federation::run_all;
     use pfrl_nn::params::average_params;
 
     fn fed() -> FedConfig {

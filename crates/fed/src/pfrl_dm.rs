@@ -17,22 +17,12 @@
 //! Only critic parameters ever travel — the paper's communication-cost
 //! advantage over FedAvg, which must ship actor + critic.
 
-use crate::attack::AttackPlan;
-use crate::checkpoint::{
-    read_client_fault, read_dual_agent, read_matrix, write_client_fault, write_dual_agent,
-    write_matrix, Fingerprint, Reader, Writer,
-};
+use crate::checkpoint::{read_matrix, read_params, write_matrix, Reader, Writer};
 use crate::client::Client;
 use crate::config::{ClientSetup, FedConfig};
-use crate::curves::TrainingCurves;
-use crate::error::FedError;
-use crate::fault::{
-    AbsenceReason, AcceptedUpload, FaultPlan, FaultState, Presence, QuarantinePolicy,
-};
-use crate::fedavg::param_bytes;
-use crate::independent::{agent_seed, curves_of, run_all};
-use crate::robust::{reduce_into, screen_uploads, RobustConfig, RobustScratch};
-use crate::runner::UploadArena;
+use crate::fault::{AbsenceReason, FaultState, Presence};
+use crate::federation::{param_bytes, Federation, Round, Strategy};
+use crate::robust::reduce_into;
 use crate::similarity::{attention_weights_into, mean_row_entropy};
 use pfrl_nn::params::{apply_mixing_matrix_into, average_params};
 use pfrl_nn::{Activation, AttentionScratch, Mlp, MultiHeadConfig};
@@ -46,63 +36,199 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::io;
 
-/// Reusable per-round aggregation buffers: cohort/cursor vectors, the
-/// blended uploads, the attention workspace, and the personalized outputs.
-/// Pure scratch — never checkpointed; a steady-state round touches the
-/// heap only if a buffer has to grow past its warm capacity.
-#[derive(Default)]
-struct AggWorkspace {
-    idx: Vec<usize>,
-    presences: Vec<Presence>,
-    candidates: Vec<usize>,
-    accepted: Vec<AcceptedUpload>,
-    survivors: Vec<usize>,
-    psis: Vec<Vec<f32>>,
-    personalized: Vec<Vec<f32>>,
-    attention: AttentionScratch,
+/// The PFRL-DM strategy: ships the public critic `ψ`, weighs the
+/// survivors' critics by multi-head attention, and personalizes.
+#[derive(Clone, Default)]
+pub struct PfrlDm {
+    attention: MultiHeadConfig,
+    /// Server-held global public critic `ψ_G`.
+    global: Vec<f32>,
+    /// Cursor of the seeded cohort shuffle.
+    participation_rng: [u64; 4],
+    next_client_index: usize,
+    /// Attention weight matrices of every aggregation round (for Fig. 11
+    /// style inspection).
+    weight_history: Vec<Matrix>,
+    /// Client indices that survived into each round's aggregation.
+    participant_history: Vec<Vec<usize>>,
+    skip_history: bool,
+    /// Scratch: the shuffled client order, the attention workspace, the
+    /// round's weights, and the personalized critics.
+    order: Vec<usize>,
+    scratch: AttentionScratch,
     weights: Matrix,
-    robust: RobustScratch,
+    personalized: Vec<Vec<f32>>,
+}
+
+impl PfrlDm {
+    /// The strategy with an explicit attention configuration.
+    pub fn new(attention: MultiHeadConfig) -> Self {
+        Self { attention, ..Self::default() }
+    }
+}
+
+/// Mean public-critic MSE (`L_ψ`) across clients with buffered
+/// trajectories.
+fn mean_public_critic_loss(clients: &[Client<DualCriticAgent>]) -> Option<f64> {
+    let (sum, count) = clients
+        .iter()
+        .filter(|c| c.agent.has_trajectories())
+        .fold((0.0f64, 0usize), |(sum, count), c| {
+            (sum + c.agent.critic_losses().1 as f64, count + 1)
+        });
+    (count > 0).then(|| sum / count as f64)
+}
+
+impl Strategy for PfrlDm {
+    type Agent = DualCriticAgent;
+    const NAME: &'static str = "PFRL-DM";
+    const TAG: u8 = 3;
+    const STREAMS: usize = 1;
+    const ATTENDS: bool = true;
+
+    /// `ψ_G^{(0)}`: a fresh server-seeded critic, broadcast to everyone so
+    /// the federation starts from a shared public critic (Algorithm 1,
+    /// lines 4–5).
+    fn init(&mut self, cfg: &FedConfig, clients: &mut [Client<DualCriticAgent>]) {
+        let server_seed = SeedStream::new(cfg.seed).child("server").seed();
+        let server_net = Mlp::new(
+            &clients[0].agent.public_critic.sizes(),
+            Activation::Tanh,
+            &mut SmallRng::seed_from_u64(server_seed),
+        );
+        self.global = server_net.flat_params();
+        for c in clients.iter_mut() {
+            c.agent.receive_public_critic(&self.global);
+        }
+        let participation = SeedStream::new(cfg.seed).child("participation").seed();
+        self.participation_rng = SmallRng::seed_from_u64(participation).state();
+        self.next_client_index = clients.len();
+    }
+
+    /// The seeded `K`-of-`N` cohort (the paper's "aggregate once K uploads
+    /// arrive"). Churn shrinks the eligible pool, never the RNG stream: the
+    /// shuffle always consumes the same randomness over all `N` clients,
+    /// then scheduled leavers are filtered out of the ranked order, so a
+    /// churn-free run is bit-identical to one with no churn plan. Faults
+    /// act on the drawn cohort afterwards.
+    fn select(&mut self, cfg: &FedConfig, f: &FaultState, p: &[Presence], cohort: &mut Vec<usize>) {
+        let mut rng = SmallRng::from_state(self.participation_rng);
+        self.order.clear();
+        self.order.extend(0..p.len());
+        self.order.shuffle(&mut rng);
+        self.participation_rng = rng.state();
+        let k = cfg.participation_k.min(f.enrolled_now());
+        let eligible = |&&i: &&usize| p[i] != Presence::Absent(AbsenceReason::NotEnrolled);
+        cohort.extend(self.order.iter().filter(eligible).take(k));
+    }
+
+    fn upload(agent: &DualCriticAgent, streams: &mut [Vec<f32>]) {
+        agent.public_critic_params_into(&mut streams[0]);
+    }
+
+    /// Staleness-weighted re-entry: a survivor returning after `s` silent
+    /// rounds contributes `decay^s · ψ + (1 − decay^s) · ψ_G` — its critic
+    /// drifted alone, so its say shrinks with its staleness.
+    fn reenter(&self, r: &mut Round<'_, DualCriticAgent>) {
+        for (psi, &missed) in r.uploads[0].iter_mut().zip(r.missed) {
+            if missed > 0 {
+                let w = r.fault.reentry_weight(missed);
+                for (x, g) in psi.iter_mut().zip(&self.global) {
+                    *x = w * *x + (1.0 - w) * g;
+                }
+            }
+        }
+    }
+
+    /// The `K×K` multi-head attention weights over the survivors' critics
+    /// (Eq. 18).
+    fn attend(&mut self, r: &mut Round<'_, DualCriticAgent>) {
+        attention_weights_into(
+            &r.uploads[0],
+            &self.attention,
+            r.cfg.parallel,
+            &mut self.scratch,
+            &mut self.weights,
+        );
+        r.telemetry.observe("fed/attention_entropy", mean_row_entropy(&self.weights));
+    }
+
+    /// Personalized critics `ψ_k' = Σ_j W_kj·ψ_j` (Eq. 21), folded into
+    /// `ψ_G` by the configured reduction (Eq. 22 for the plain mean).
+    fn reduce(&mut self, r: &mut Round<'_, DualCriticAgent>) {
+        apply_mixing_matrix_into(
+            &self.weights,
+            &r.uploads[0],
+            r.cfg.parallel,
+            &mut self.personalized,
+        );
+        reduce_into(
+            r.robust.aggregator,
+            &self.personalized,
+            r.scratch,
+            &mut self.global,
+            r.telemetry,
+        );
+    }
+
+    /// Survivors receive their personalized critic; connected clients
+    /// outside the aggregation receive `ψ_G`; absent clients keep theirs.
+    fn broadcast(&mut self, r: &mut Round<'_, DualCriticAgent>) -> u64 {
+        for (slot, &i) in r.survivors.iter().enumerate() {
+            r.clients[i].agent.receive_public_critic(&self.personalized[slot]);
+        }
+        let mut global_receivers = 0u64;
+        for i in 0..r.clients.len() {
+            if r.presences[i].is_present() && !r.survivors.contains(&i) {
+                r.clients[i].agent.receive_public_critic(&self.global);
+                r.fault.note_refreshed(i);
+                global_receivers += 1;
+            }
+        }
+        param_bytes(&self.personalized) + global_receivers * 4 * self.global.len() as u64
+    }
+
+    fn critic_loss(&self, clients: &[Client<DualCriticAgent>], t: &Telemetry) -> Option<f64> {
+        t.is_enabled().then(|| mean_public_critic_loss(clients)).flatten()
+    }
+
+    fn record(&mut self, r: &Round<'_, DualCriticAgent>, _: Option<(f64, f64)>) {
+        if !self.skip_history {
+            self.weight_history.push(self.weights.clone());
+            self.participant_history.push(r.survivors.to_vec());
+        }
+    }
+
+    fn write_state(&self, w: &mut Writer) {
+        w.vec_f32(&self.global);
+        w.rng_state(self.participation_rng);
+        w.usize(self.next_client_index);
+        w.usize(self.weight_history.len());
+        for m in &self.weight_history {
+            write_matrix(w, m);
+        }
+        w.usize(self.participant_history.len());
+        for p in &self.participant_history {
+            w.vec_usize(p);
+        }
+    }
+
+    fn read_state(&mut self, r: &mut Reader<'_>, lens: &[usize]) -> io::Result<()> {
+        self.global = read_params(r, "global critic", lens[0])?;
+        self.participation_rng = r.rng_state()?;
+        self.next_client_index = r.usize()?;
+        let n = r.usize()?;
+        self.weight_history = (0..n).map(|_| read_matrix(r)).collect::<io::Result<_>>()?;
+        let n = r.usize()?;
+        self.participant_history = (0..n).map(|_| r.vec_usize()).collect::<io::Result<_>>()?;
+        Ok(())
+    }
 }
 
 /// PFRL-DM federation runner.
-pub struct PfrlDmRunner {
-    /// Participating clients (dual-critic agents).
-    pub clients: Vec<Client<DualCriticAgent>>,
-    cfg: FedConfig,
-    ppo_cfg: PpoConfig,
-    dims: EnvDims,
-    env_cfg: EnvConfig,
-    attention: MultiHeadConfig,
-    /// Server-held global public critic `ψ_G`.
-    server_global: Vec<f32>,
-    participation_rng: SmallRng,
-    /// Attention weight matrices of every aggregation round (for Fig. 11
-    /// style inspection).
-    pub weight_history: Vec<Matrix>,
-    /// Client indices that participated in each round.
-    pub participant_history: Vec<Vec<usize>>,
-    next_client_index: usize,
-    rounds_done: usize,
-    fault: FaultState,
-    robust: RobustConfig,
-    telemetry: Telemetry,
-    arena: UploadArena,
-    agg: AggWorkspace,
-    record_history: bool,
-}
+pub type PfrlDmRunner = Federation<PfrlDm>;
 
-impl PfrlDmRunner {
-    /// Builds the federation with the default attention configuration.
-    pub fn new(
-        setups: Vec<ClientSetup>,
-        dims: EnvDims,
-        env_cfg: EnvConfig,
-        ppo_cfg: PpoConfig,
-        fed_cfg: FedConfig,
-    ) -> Self {
-        Self::with_attention(setups, dims, env_cfg, ppo_cfg, fed_cfg, MultiHeadConfig::default())
-    }
-
+impl Federation<PfrlDm> {
     /// Builds the federation with an explicit attention configuration
     /// (used by the head-count ablation).
     pub fn with_attention(
@@ -113,57 +239,7 @@ impl PfrlDmRunner {
         fed_cfg: FedConfig,
         attention: MultiHeadConfig,
     ) -> Self {
-        fed_cfg.validate(setups.len());
-        let mut clients: Vec<Client<DualCriticAgent>> = setups
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let agent = DualCriticAgent::new(
-                    dims.state_dim(),
-                    dims.action_dim(),
-                    ppo_cfg,
-                    agent_seed(&fed_cfg, i),
-                );
-                Client::new(s, agent, dims, env_cfg, &fed_cfg, i)
-            })
-            .collect();
-        let n = clients.len();
-
-        // ψ_G^{(0)}: a fresh server-seeded critic, broadcast to everyone so
-        // the federation starts from a shared public critic (Algorithm 1,
-        // lines 4–5).
-        let server_seed = SeedStream::new(fed_cfg.seed).child("server").seed();
-        let server_net = Mlp::new(
-            &[dims.state_dim(), ppo_cfg.hidden, 1],
-            Activation::Tanh,
-            &mut SmallRng::seed_from_u64(server_seed),
-        );
-        let server_global = server_net.flat_params();
-        for c in &mut clients {
-            c.agent.receive_public_critic(&server_global);
-        }
-        let participation_rng =
-            SmallRng::seed_from_u64(SeedStream::new(fed_cfg.seed).child("participation").seed());
-        Self {
-            clients,
-            cfg: fed_cfg,
-            ppo_cfg,
-            dims,
-            env_cfg,
-            attention,
-            server_global,
-            participation_rng,
-            weight_history: Vec::new(),
-            participant_history: Vec::new(),
-            next_client_index: n,
-            rounds_done: 0,
-            fault: FaultState::new(FaultPlan::none(), QuarantinePolicy::default(), n),
-            robust: RobustConfig::default(),
-            telemetry: Telemetry::noop(),
-            arena: UploadArena::new(),
-            agg: AggWorkspace::default(),
-            record_history: true,
-        }
+        Self::with_strategy(PfrlDm::new(attention), setups, dims, env_cfg, ppo_cfg, fed_cfg)
     }
 
     /// Toggles per-round weight/participant history recording. Each entry
@@ -172,346 +248,17 @@ impl PfrlDmRunner {
     /// turn it off. On by default (Fig. 11 inspection and checkpoint
     /// contents are unchanged).
     pub fn set_record_history(&mut self, on: bool) {
-        self.record_history = on;
+        self.strategy.skip_history = !on;
     }
 
-    /// Routes runner, agent, and environment metrics to `telemetry`
-    /// (per-round phase timings, bytes on the wire, attention entropy,
-    /// public-critic loss before/after personalization).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        for c in &mut self.clients {
-            c.set_telemetry(telemetry.clone());
-        }
-        self.fault.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
+    /// Attention weight matrices of every recorded aggregation round.
+    pub fn weight_history(&self) -> &[Matrix] {
+        &self.strategy.weight_history
     }
 
-    /// Installs a deterministic fault schedule (see [`crate::fault`]): the
-    /// scheduled dropouts, stragglers, corruptions, and stale uploads are
-    /// injected at the client→server boundary of every aggregation. The
-    /// round's participant *sampling* is untouched — faults act on the
-    /// sampled cohort, so the same training seed explores the same
-    /// participation sequence with and without faults.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        let policy = *self.fault.policy();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Overrides the update-quarantine policy (norm limit, eviction
-    /// threshold, staleness decay).
-    pub fn with_quarantine_policy(mut self, policy: QuarantinePolicy) -> Self {
-        let plan = *self.fault.plan();
-        let churn = self.fault.churn().clone();
-        let attack = *self.fault.attack();
-        let mut fault = FaultState::new(plan, policy, self.clients.len());
-        fault.set_telemetry(self.telemetry.clone());
-        fault.set_churn(churn);
-        fault.set_attack(attack);
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a deterministic adversarial-upload schedule (see
-    /// [`crate::attack`]): members of the seeded coalition poison their
-    /// public-critic uploads at the quarantine gate. Composes with fault
-    /// plans and churn; an inactive plan is bit-identical to none.
-    pub fn with_attack_plan(mut self, plan: AttackPlan) -> Self {
-        self.fault.set_attack(plan);
-        self
-    }
-
-    /// Selects the server-side robust aggregation config (see
-    /// [`crate::robust`]): the screens run over the surviving ψ uploads
-    /// before attention, and the chosen aggregator replaces the plain mean
-    /// that folds the personalized critics into `ψ_G`. The default config
-    /// is bit-identical to the undefended path.
-    pub fn with_robust_aggregator(mut self, robust: RobustConfig) -> Self {
-        robust.validate();
-        self.robust = robust;
-        self
-    }
-
-    /// Installs a deterministic scenario (workload drift + churn, see
-    /// [`pfrl_scenario`]): drifting clients regenerate their episode traces
-    /// from the plan, and the plan's churn schedule drives which clients
-    /// are eligible for the round's `K`-of-`N` cohort (leavers are skipped
-    /// by the sampler; re-joiners flow through the staleness re-entry
-    /// blend toward `ψ_G`).
-    pub fn with_scenario(mut self, binding: &pfrl_scenario::ScenarioBinding) -> Self {
-        crate::client::install_scenario(
-            &mut self.clients,
-            &mut self.fault,
-            binding,
-            self.cfg.tasks_per_episode,
-        );
-        self
-    }
-
-    /// Switches every client to DAG workflow scheduling: client `i` draws
-    /// its episodes from `pools[i]` (seeded windows of `per_episode`
-    /// workflows; `None` replays the full pool each episode).
-    pub fn with_workflows(
-        mut self,
-        pools: Vec<Vec<pfrl_workloads::workflow::Workflow>>,
-        per_episode: Option<usize>,
-    ) -> Self {
-        assert_eq!(pools.len(), self.clients.len(), "one workflow pool per client");
-        for (c, pool) in self.clients.iter_mut().zip(pools) {
-            c.use_workflows(pool, per_episode);
-        }
-        self
-    }
-
-    /// Full training run. Resume-safe: starts from `rounds_done`.
-    pub fn train(&mut self) -> TrainingCurves {
-        while self.rounds_done < self.cfg.rounds() {
-            self.train_round();
-        }
-        self.finish()
-    }
-
-    /// Runs `n` more rounds (used by the Fig. 20 join experiment to drive
-    /// rounds manually).
-    pub fn train_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.train_round();
-        }
-    }
-
-    /// Runs any leftover episodes past the last aggregation and returns the
-    /// curves. Idempotent: each client is trained up to the episode budget.
-    pub fn finish(&mut self) -> TrainingCurves {
-        let done = self.clients.first().map_or(0, |c| c.episodes_done());
-        if self.cfg.episodes > done {
-            run_all(&mut self.clients, self.cfg.episodes - done, self.cfg.parallel);
-        }
-        curves_of(&self.clients)
-    }
-
-    /// `comm_every` local episodes on every client, then one aggregation.
-    pub fn train_round(&mut self) {
-        let t = self.telemetry.clone();
-        let round_span = t.span("fed/round");
-        {
-            let _local = round_span.child("local_train");
-            run_all(&mut self.clients, self.cfg.comm_every, self.cfg.parallel);
-        }
-        self.aggregate();
-    }
-
-    /// One personalization aggregation (Algorithm 1, lines 9–14), over the
-    /// round's surviving participants:
-    ///
-    /// * the seeded `K`-of-`N` cohort is sampled as always, then the fault
-    ///   layer decides which members are connected and which uploads
-    ///   survive the quarantine gate;
-    /// * attention (Eqs. 18–22) runs over the surviving uploads only;
-    /// * a survivor returning after `s` silent rounds contributes the blend
-    ///   `decay^s · ψ + (1 − decay^s) · ψ_G` — its critic drifted alone, so
-    ///   its say shrinks with its staleness;
-    /// * absent clients keep their last personalized critic; connected
-    ///   non-participants receive `ψ_G` as before.
-    ///
-    /// When every upload of a round is lost the aggregation is skipped
-    /// outright (no weight/participant history entry): clients continue on
-    /// their current critics.
-    pub fn aggregate(&mut self) {
-        let round = self.rounds_done;
-        let n = self.clients.len();
-        self.agg.idx.clear();
-        self.agg.idx.extend(0..n);
-        self.agg.idx.shuffle(&mut self.participation_rng);
-
-        self.fault.begin_round_into(round, &mut self.agg.presences);
-        // Churn shrinks the eligible pool, never the RNG stream: the
-        // shuffle above always consumes the same randomness over all `N`
-        // clients, then scheduled leavers are filtered out of the ranked
-        // order. A churn-free run is therefore bit-identical to one with no
-        // churn plan installed.
-        let k = self.cfg.participation_k.min(self.fault.enrolled_now());
-        self.agg.candidates.clear();
-        for &i in &self.agg.idx {
-            if self.agg.candidates.len() == k {
-                break;
-            }
-            if self.agg.presences[i] != Presence::Absent(AbsenceReason::NotEnrolled) {
-                self.agg.candidates.push(i);
-            }
-        }
-
-        let upload = self.telemetry.span("fed/round/upload");
-        self.agg.accepted.clear();
-        for slot in 0..self.agg.candidates.len() {
-            let i = self.agg.candidates[slot];
-            if !self.agg.presences[i].is_present() {
-                self.fault.note_missed(i);
-                continue;
-            }
-            // Uploads flow through the pooled arena: K uploads reuse K
-            // warm buffers instead of allocating K fresh ParamVecs.
-            let mut streams = self.arena.acquire(1);
-            self.clients[i].agent.public_critic_params_into(&mut streams[0]);
-            if let Some(up) = self.fault.gate_upload(round, i, streams, self.agg.presences[i]) {
-                self.agg.accepted.push(up);
-            }
-        }
-        drop(upload);
-        // Byzantine screens run over the gated cohort before any upload
-        // influences attention: a rejected ψ never enters the weight matrix.
-        screen_uploads(
-            &self.robust,
-            round,
-            &mut self.fault,
-            &mut self.agg.accepted,
-            &mut self.arena,
-            &mut self.agg.robust,
-        );
-        self.fault.record_participation(self.agg.accepted.len());
-        if self.agg.accepted.is_empty() {
-            for i in 0..n {
-                if !self.agg.candidates.contains(&i) && !self.agg.presences[i].is_present() {
-                    self.fault.note_missed(i);
-                }
-            }
-            self.telemetry.counter("fed/rounds", 1);
-            self.rounds_done += 1;
-            return;
-        }
-        let agg_start = std::time::Instant::now();
-        self.agg.survivors.clear();
-        self.agg.survivors.extend(self.agg.accepted.iter().map(|u| u.client));
-        // Staleness-weighted re-entry: blend a returning straggler's upload
-        // toward the current ψ_G. Fresh uploads pass through untouched.
-        let n_acc = self.agg.accepted.len();
-        self.agg.psis.truncate(n_acc);
-        while self.agg.psis.len() < n_acc {
-            self.agg.psis.push(Vec::new());
-        }
-        for (dst, u) in self.agg.psis.iter_mut().zip(&self.agg.accepted) {
-            if u.missed_rounds == 0 {
-                dst.clone_from(&u.streams[0]);
-            } else {
-                let w = self.fault.reentry_weight(u.missed_rounds);
-                dst.clear();
-                dst.extend(
-                    u.streams[0]
-                        .iter()
-                        .zip(&self.server_global)
-                        .map(|(x, g)| w * x + (1.0 - w) * g),
-                );
-            }
-        }
-        // The upload buffers are copied out; park them for the next round.
-        for up in self.agg.accepted.drain(..) {
-            self.arena.release(up.streams);
-        }
-        // PFRL-DM only ships the surviving public critics.
-        self.telemetry.counter("fed/bytes_up", param_bytes(&self.agg.psis));
-
-        let loss_before = self.mean_public_critic_loss();
-
-        let attention = self.telemetry.span("fed/round/attention");
-        attention_weights_into(
-            &self.agg.psis,
-            &self.attention,
-            self.cfg.parallel,
-            &mut self.agg.attention,
-            &mut self.agg.weights,
-        );
-        drop(attention);
-        self.telemetry.observe("fed/attention_entropy", mean_row_entropy(&self.agg.weights));
-
-        let agg = self.telemetry.span("fed/round/aggregate");
-        apply_mixing_matrix_into(
-            &self.agg.weights,
-            &self.agg.psis,
-            self.cfg.parallel,
-            &mut self.agg.personalized,
-        );
-        reduce_into(
-            self.robust.aggregator,
-            &self.agg.personalized,
-            &mut self.agg.robust,
-            &mut self.server_global,
-            &self.telemetry,
-        );
-        drop(agg);
-
-        let mut global_receivers = 0u64;
-        {
-            let _broadcast = self.telemetry.span("fed/round/broadcast");
-            for (slot, &i) in self.agg.survivors.iter().enumerate() {
-                self.clients[i].agent.receive_public_critic(&self.agg.personalized[slot]);
-            }
-            for i in 0..n {
-                if self.agg.survivors.contains(&i) {
-                    continue;
-                }
-                if self.agg.presences[i].is_present() {
-                    // Connected non-participants (and participants whose
-                    // upload was quarantined with nothing to fall back on)
-                    // are refreshed with ψ_G.
-                    self.clients[i].agent.receive_public_critic(&self.server_global);
-                    self.fault.note_refreshed(i);
-                    global_receivers += 1;
-                } else if !self.agg.candidates.contains(&i) {
-                    // Absent non-candidates keep their last personalized
-                    // critic; absent candidates were already counted above.
-                    self.fault.note_missed(i);
-                }
-            }
-        }
-        self.telemetry.counter(
-            "fed/bytes_down",
-            param_bytes(&self.agg.personalized)
-                + global_receivers * 4 * self.server_global.len() as u64,
-        );
-        // Wall-clock of the aggregation phase (blend → attention → mixing →
-        // broadcast). Excluded from the deterministic telemetry fingerprint
-        // like every wall-clock metric.
-        self.telemetry.observe("fed/agg_wall_us", agg_start.elapsed().as_secs_f64() * 1e6);
-        self.telemetry.gauge("fed/arena_bytes", self.arena.pooled_bytes() as f64);
-
-        if let (Some(b), Some(a)) = (loss_before, self.mean_public_critic_loss()) {
-            self.telemetry.observe("fed/critic_loss_before_agg", b);
-            self.telemetry.observe("fed/critic_loss_after_agg", a);
-        }
-        self.telemetry.counter("fed/rounds", 1);
-        self.rounds_done += 1;
-
-        if self.record_history {
-            self.weight_history.push(self.agg.weights.clone());
-            self.participant_history.push(self.agg.survivors.clone());
-        }
-    }
-
-    /// Mean public-critic MSE (`L_ψ`) across clients with buffered
-    /// trajectories; telemetry-only, so skipped entirely when disabled.
-    fn mean_public_critic_loss(&self) -> Option<f64> {
-        if !self.telemetry.is_enabled() {
-            return None;
-        }
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        for c in &self.clients {
-            if c.agent.has_trajectories() {
-                sum += c.agent.critic_losses().1 as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum / count as f64)
-        }
+    /// Client indices that survived into each recorded aggregation round.
+    pub fn participant_history(&self) -> &[Vec<usize>] {
+        &self.strategy.participant_history
     }
 
     /// Pins every client's `α` to a fixed value (ablation of the adaptive
@@ -524,12 +271,7 @@ impl PfrlDmRunner {
 
     /// The server's current global public critic `ψ_G`.
     pub fn server_global(&self) -> &[f32] {
-        &self.server_global
-    }
-
-    /// The schedule in use.
-    pub fn config(&self) -> &FedConfig {
-        &self.cfg
+        &self.strategy.global
     }
 
     /// Adds a new client to a running federation (the Fig. 20 scenario):
@@ -541,131 +283,18 @@ impl PfrlDmRunner {
     /// completion and is documented in DESIGN.md). Returns the new
     /// client's index.
     pub fn add_client(&mut self, setup: ClientSetup, bootstrap_actor: bool) -> usize {
-        let i = self.next_client_index;
-        self.next_client_index += 1;
-        let mut agent = DualCriticAgent::new(
-            self.dims.state_dim(),
-            self.dims.action_dim(),
-            self.ppo_cfg,
-            agent_seed(&self.cfg, i),
-        );
-        agent.receive_public_critic(&self.server_global);
+        let mut client = self.new_client(setup, self.strategy.next_client_index);
+        self.strategy.next_client_index += 1;
+        client.agent.receive_public_critic(&self.strategy.global);
         if bootstrap_actor && !self.clients.is_empty() {
             let actors: Vec<Vec<f32>> =
                 self.clients.iter().map(|c| c.agent.actor.flat_params()).collect();
-            agent.actor.set_flat_params(&average_params(&actors));
+            client.agent.actor.set_flat_params(&average_params(&actors));
         }
-        let mut client = Client::new(setup, agent, self.dims, self.env_cfg, &self.cfg, i);
         client.set_telemetry(self.telemetry.clone());
         self.clients.push(client);
         self.fault.add_client();
         self.clients.len() - 1
-    }
-
-    /// Communication rounds completed so far.
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Bytes of `f32` capacity pooled in the upload arena between rounds.
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena.pooled_bytes()
-    }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            algo: 3,
-            seed: self.cfg.seed,
-            episodes: self.cfg.episodes,
-            comm_every: self.cfg.comm_every,
-            participation_k: self.cfg.participation_k,
-            n_clients: self.clients.len(),
-        }
-    }
-
-    /// Serializes the full training state: server global critic, the
-    /// participation RNG cursor, round cursor, weight/participant history,
-    /// per-client agent snapshots and reward histories, and fault
-    /// bookkeeping. Construction-time configuration (attention config,
-    /// fault plan) is *not* stored — restore into a runner built the same
-    /// way.
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.fingerprint().write(&mut w);
-        w.usize(self.rounds_done);
-        w.vec_f32(&self.server_global);
-        w.rng_state(self.participation_rng.state());
-        w.usize(self.next_client_index);
-        w.usize(self.weight_history.len());
-        for m in &self.weight_history {
-            write_matrix(&mut w, m);
-        }
-        w.usize(self.participant_history.len());
-        for p in &self.participant_history {
-            w.vec_usize(p);
-        }
-        for c in &self.clients {
-            w.vec_f64(&c.rewards);
-            w.usize(c.episodes_done());
-            write_dual_agent(&mut w, &c.agent.snapshot());
-        }
-        for f in self.fault.client_states() {
-            write_client_fault(&mut w, f);
-        }
-        w.finish()
-    }
-
-    /// Restores state captured by [`Self::checkpoint_bytes`] into a runner
-    /// built with the same configuration; training then resumes to
-    /// bit-identical curves.
-    ///
-    /// Malformed, truncated, or mismatched checkpoints surface as
-    /// [`FedError::Checkpoint`].
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError> {
-        self.restore_impl(bytes).map_err(FedError::checkpoint)
-    }
-
-    fn restore_impl(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes)?;
-        Fingerprint::check(&mut r, &self.fingerprint())?;
-        let rounds_done = r.usize()?;
-        let server_global = r.vec_f32()?;
-        let rng_state = r.rng_state()?;
-        let next_client_index = r.usize()?;
-        let n_weights = r.usize()?;
-        let mut weight_history = Vec::with_capacity(n_weights);
-        for _ in 0..n_weights {
-            weight_history.push(read_matrix(&mut r)?);
-        }
-        let n_parts = r.usize()?;
-        let mut participant_history = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            participant_history.push(r.vec_usize()?);
-        }
-        let mut snaps = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            let rewards = r.vec_f64()?;
-            let episodes_done = r.usize()?;
-            snaps.push((rewards, episodes_done, read_dual_agent(&mut r)?));
-        }
-        let mut faults = Vec::with_capacity(self.clients.len());
-        for _ in 0..self.clients.len() {
-            faults.push(read_client_fault(&mut r)?);
-        }
-        r.finish()?;
-        self.rounds_done = rounds_done;
-        self.server_global = server_global;
-        self.participation_rng = SmallRng::from_state(rng_state);
-        self.next_client_index = next_client_index;
-        self.weight_history = weight_history;
-        self.participant_history = participant_history;
-        for (c, (rewards, episodes_done, snap)) in self.clients.iter_mut().zip(snaps) {
-            c.rewards = rewards;
-            c.restore_episode_cursor(episodes_done);
-            c.agent.restore(&snap);
-        }
-        self.fault.restore_client_states(faults);
-        Ok(())
     }
 }
 
@@ -673,6 +302,7 @@ impl PfrlDmRunner {
 mod tests {
     use super::*;
     use crate::config::tests_support::small_setups;
+    use crate::federation::run_all;
 
     fn fed(n_clients: usize) -> FedConfig {
         FedConfig {
@@ -702,14 +332,14 @@ mod tests {
         let mut r = PfrlDmRunner::new(setups, dims, env_cfg, PpoConfig::default(), fed(4));
         run_all(&mut r.clients, 1, false);
         r.aggregate();
-        assert_eq!(r.weight_history.len(), 1);
-        let w = &r.weight_history[0];
+        assert_eq!(r.weight_history().len(), 1);
+        let w = &r.weight_history()[0];
         assert_eq!(w.shape(), (2, 2)); // K = 2 of 4
         for row in 0..2 {
             let s: f32 = w.row(row).iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
         }
-        assert_eq!(r.participant_history[0].len(), 2);
+        assert_eq!(r.participant_history()[0].len(), 2);
     }
 
     #[test]
@@ -718,7 +348,7 @@ mod tests {
         let mut r = PfrlDmRunner::new(setups, dims, env_cfg, PpoConfig::default(), fed(4));
         run_all(&mut r.clients, 2, false);
         r.aggregate();
-        let participants = r.participant_history[0].clone();
+        let participants = r.participant_history()[0].clone();
         let global = r.server_global().to_vec();
         for i in 0..4 {
             let psi = r.clients[i].agent.public_critic_params();
@@ -750,7 +380,7 @@ mod tests {
         let curves = r.train();
         assert_eq!(curves.clients(), 4);
         assert!(curves.per_client.iter().all(|c| c.len() == 4));
-        assert_eq!(r.weight_history.len(), 2);
+        assert_eq!(r.weight_history().len(), 2);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! The uniform runner API: one trait over all four federation algorithms.
+//! The uniform runner API: one object-safe trait over every federation.
 //!
-//! [`FederatedRunner`] is the extension point for new policy families —
-//! implement it (train/checkpoint/clients/snapshot export) and everything
-//! downstream works unchanged: the `pfrl-core` experiment driver, the
+//! [`FederatedRunner`] is what the `pfrl-core` experiment driver, the
 //! resumable checkpoint loop, generalization evaluation, and the
-//! `pfrl-serve` snapshot pipeline all dispatch through this trait instead
-//! of matching on a per-algorithm enum.
+//! `pfrl-serve` snapshot pipeline dispatch through, instead of matching on
+//! a per-algorithm enum. Its one implementation is
+//! [`crate::Federation`]`<S>`: a new algorithm implements
+//! [`crate::Strategy`], not this trait, and gets the round loop, fault
+//! gating, telemetry, checkpointing, and everything downstream for free.
 //!
 //! Client heterogeneity (PPO clients vs dual-critic clients) is bridged by
 //! [`ClientView`], an object-safe view over `Client<A>` exposing exactly
@@ -16,10 +17,6 @@ use crate::client::{Client, FedAgent};
 use crate::config::FedConfig;
 use crate::curves::TrainingCurves;
 use crate::error::FedError;
-use crate::fedavg::FedAvgRunner;
-use crate::independent::IndependentRunner;
-use crate::mfpo::MfpoRunner;
-use crate::pfrl_dm::PfrlDmRunner;
 use crate::snapshot::PolicySnapshot;
 use pfrl_sim::EpisodeMetrics;
 use pfrl_workloads::TaskSpec;
@@ -113,7 +110,8 @@ impl UploadArena {
     }
 }
 
-/// The uniform federation-runner API implemented by all four algorithms.
+/// The uniform federation-runner API, implemented by [`crate::Federation`]
+/// for every strategy.
 ///
 /// Round-by-round training, checkpoint/restore, client access, and policy
 /// export — everything the experiment driver and the serving layer need,
@@ -160,55 +158,11 @@ pub trait FederatedRunner: Send {
     }
 }
 
-macro_rules! impl_federated_runner {
-    ($ty:ty, $name:literal) => {
-        impl FederatedRunner for $ty {
-            fn algorithm(&self) -> &'static str {
-                $name
-            }
-            fn config(&self) -> &FedConfig {
-                <$ty>::config(self)
-            }
-            fn train_round(&mut self) {
-                <$ty>::train_round(self)
-            }
-            fn finish(&mut self) -> TrainingCurves {
-                <$ty>::finish(self)
-            }
-            fn rounds_done(&self) -> usize {
-                <$ty>::rounds_done(self)
-            }
-            fn checkpoint_bytes(&self) -> Vec<u8> {
-                <$ty>::checkpoint_bytes(self)
-            }
-            fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError> {
-                <$ty>::restore_checkpoint(self, bytes)
-            }
-            fn arena_bytes(&self) -> u64 {
-                <$ty>::arena_bytes(self)
-            }
-            fn clients(&self) -> Vec<&dyn ClientView> {
-                self.clients.iter().map(|c| c as &dyn ClientView).collect()
-            }
-            fn clients_mut(&mut self) -> Vec<&mut dyn ClientView> {
-                self.clients.iter_mut().map(|c| c as &mut dyn ClientView).collect()
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-    };
-}
-
-impl_federated_runner!(IndependentRunner, "PPO");
-impl_federated_runner!(FedAvgRunner, "FedAvg");
-impl_federated_runner!(MfpoRunner, "MFPO");
-impl_federated_runner!(PfrlDmRunner, "PFRL-DM");
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::tests_support::small_setups;
+    use crate::{FedAvgRunner, IndependentRunner, MfpoRunner, PfrlDmRunner};
     use pfrl_rl::PpoConfig;
 
     fn tiny_fed() -> FedConfig {

@@ -302,6 +302,20 @@ impl Shard {
         self.plans.len() - 1
     }
 
+    /// Reacts to the shard's ramp reaching a terminal state: a committed
+    /// ramp is applied to this shard's plans and sessions (the cutover
+    /// point for this shard); a rolled-back ramp is discarded.
+    fn settle_ramp(&mut self) {
+        let Some(core) = self.ramp.clone() else { return };
+        match core.status() {
+            RampStatus::Shadow => return,
+            RampStatus::Committed => self.apply_commit(&core),
+            RampStatus::RolledBack => {}
+        }
+        self.ramp = None;
+        self.ramp_actor = None;
+    }
+
     /// Applies a committed ramp: every plan (and member session) of the
     /// ramped client at an older version adopts the candidate parameters.
     fn apply_commit(&mut self, core: &RampCore) {
@@ -666,30 +680,19 @@ impl ShardedDecisionService {
         }
     }
 
-    /// Picks up a newly published ramp and reacts to terminal states: a
-    /// committed ramp is applied to this shard's plans and sessions (the
-    /// cutover point for this shard); a rolled-back ramp is discarded.
+    /// Picks up a newly published ramp and settles terminal ones (see
+    /// [`Shard::settle_ramp`]). A ramp that committed since this shard's
+    /// last wave is applied *before* a newer publish replaces it, so the
+    /// retired version stops serving here either way.
     fn sync_ramp(&self, shard: &mut Shard) {
         let epoch = self.ramp_epoch.load(Ordering::Acquire);
         if shard.seen_epoch != epoch {
+            shard.settle_ramp();
             shard.seen_epoch = epoch;
             shard.ramp = self.ramp.lock().expect("ramp lock poisoned").clone();
             shard.ramp_actor = None;
         }
-        if let Some(core) = shard.ramp.clone() {
-            match core.status() {
-                RampStatus::Shadow => {}
-                RampStatus::Committed => {
-                    shard.apply_commit(&core);
-                    shard.ramp = None;
-                    shard.ramp_actor = None;
-                }
-                RampStatus::RolledBack => {
-                    shard.ramp = None;
-                    shard.ramp_actor = None;
-                }
-            }
-        }
+        shard.settle_ramp();
     }
 
     /// Publishes `candidate` as a version ramp for its client: the
@@ -884,6 +887,35 @@ mod tests {
         svc.submit(id).unwrap();
         let out = svc.decide_wave(0);
         assert_eq!(out[0].1.version, candidate.version);
+    }
+
+    #[test]
+    fn publish_right_after_commit_still_cuts_over() {
+        let store =
+            PolicyStore::from_snapshots(vec![tiny_snapshot("a"), tiny_snapshot("b")]).unwrap();
+        let svc = ShardedDecisionService::new(
+            store,
+            ShardedServeConfig { shards: 1, queue_capacity: 64, max_batch: 8 },
+        );
+        let id = svc.open_session("a").unwrap();
+        svc.begin_episode(id, &tiny_tasks(30)).unwrap();
+        let mut candidate = tiny_snapshot("a");
+        candidate.version += 1;
+        let ramp = svc.publish(&candidate, 1).unwrap();
+        // The wave that shadows the candidate commits it; the shard cuts
+        // over at its next wave boundary.
+        svc.submit(id).unwrap();
+        svc.decide_wave(0);
+        assert_eq!(ramp.status(), RampStatus::Committed);
+        // A new ramp is published before that boundary.
+        let mut next = tiny_snapshot("b");
+        next.version += 1;
+        svc.publish(&next, 100).unwrap();
+        for _ in 0..3 {
+            svc.submit(id).unwrap();
+            let out = svc.decide_wave(0);
+            assert_eq!(out[0].1.version, candidate.version, "retired version served");
+        }
     }
 
     #[test]

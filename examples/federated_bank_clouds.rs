@@ -58,9 +58,9 @@ fn main() {
     // Inspect the last round's attention weights: who listened to whom
     // (algorithm-specific state, so reach past the uniform trait).
     if let Some(runner) = results[0].2.downcast_ref::<PfrlDmRunner>() {
-        if let Some(w) = runner.weight_history.last() {
-            let round = runner.weight_history.len();
-            let participants = &runner.participant_history[round - 1];
+        if let Some(w) = runner.weight_history().last() {
+            let round = runner.weight_history().len();
+            let participants = &runner.participant_history()[round - 1];
             println!("\nround {round} attention weights (participants {participants:?}):");
             for r in 0..w.rows() {
                 let row: Vec<String> = (0..w.cols()).map(|c| format!("{:.3}", w[(r, c)])).collect();

@@ -58,8 +58,8 @@ fn k128_parallel_aggregation_is_bit_identical_to_sequential() {
             seq.aggregate();
             par.aggregate();
         }
-        assert_eq!(seq.weight_history.len(), par.weight_history.len());
-        for (ws, wp) in seq.weight_history.iter().zip(&par.weight_history) {
+        assert_eq!(seq.weight_history().len(), par.weight_history().len());
+        for (ws, wp) in seq.weight_history().iter().zip(par.weight_history()) {
             assert_eq!(ws.shape(), (128, 128));
             for r in 0..ws.rows() {
                 assert_eq!(

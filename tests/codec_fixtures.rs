@@ -13,7 +13,7 @@
 
 use pfrl_core::experiment::{run_federation, Algorithm};
 use pfrl_core::fed::{
-    ClientSetup, FaultPlan, FedAvgRunner, FedConfig, PfrlDmRunner, PolicySnapshot,
+    ClientSetup, FaultPlan, FedAvgRunner, FedConfig, FedError, PfrlDmRunner, PolicySnapshot,
 };
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::serve::Session;
@@ -169,6 +169,27 @@ fn corrupted_fixtures_are_rejected() {
         PolicySnapshot::from_bytes(&policy[..policy.len() - 3]).is_err(),
         "truncation accepted"
     );
+}
+
+/// A checkpoint restored into a federation with a different network shape
+/// (the fingerprint does not cover the hidden width) is an error, not a
+/// panic, and leaves the federation untouched.
+#[test]
+fn golden_fedckpt_rejects_mismatched_network_shape() {
+    let bytes = read_fixture("fedavg_round1.fedckpt");
+    let wide = PpoConfig { hidden: 2 * PpoConfig::default().hidden, ..PpoConfig::default() };
+    let mut runner = FedAvgRunner::new(
+        fixture_setups(),
+        fixture_dims(),
+        EnvConfig::default(),
+        wide,
+        fixture_fed(),
+    )
+    .with_fault_plan(fixture_plan());
+    let before = runner.checkpoint_bytes();
+    let err = runner.restore_checkpoint(&bytes).expect_err("mismatched hidden width accepted");
+    assert!(matches!(err, FedError::Checkpoint(_)), "{err:?}");
+    assert_eq!(runner.checkpoint_bytes(), before, "a failed restore must not mutate the runner");
 }
 
 /// Regenerates every fixture. Ignored: run it only when the wire format

@@ -61,8 +61,8 @@ fn pfrl_dm_only_critics_travel_and_weights_are_stochastic() {
     let a1 = r.clients[1].agent.actor.flat_params();
     assert_ne!(a0, a1);
     // Every recorded attention matrix is row-stochastic.
-    assert!(!r.weight_history.is_empty());
-    for w in &r.weight_history {
+    assert!(!r.weight_history().is_empty());
+    for w in r.weight_history() {
         for row in 0..w.rows() {
             let s: f32 = w.row(row).iter().sum();
             assert!((s - 1.0).abs() < 1e-4, "row sum {s}");
@@ -107,7 +107,7 @@ fn average_params_matches_manual_mean_through_training() {
     r.clients.iter_mut().for_each(|c| c.run_episodes(1));
     let actors: Vec<Vec<f32>> = r.clients.iter().map(|c| c.agent.actor_params()).collect();
     let mean = average_params(&actors);
-    r.aggregate(0);
+    r.aggregate();
     let got = r.clients[1].agent.actor_params();
     for (g, m) in got.iter().zip(&mean) {
         assert!((g - m).abs() < 1e-6);

@@ -106,12 +106,12 @@ fn fedavg_aggregation_hurts_local_critic_fit() {
     let mut runner =
         FedAvgRunner::new(setups, dims(), EnvConfig::default(), PpoConfig::default(), fed);
     runner.train();
-    assert!(!runner.loss_probes.is_empty());
-    let worsened = runner.loss_probes.iter().filter(|p| p.loss_after >= p.loss_before).count();
+    assert!(!runner.loss_probes().is_empty());
+    let worsened = runner.loss_probes().iter().filter(|p| p.loss_after >= p.loss_before).count();
     // At least half the rounds show the degradation the paper reports.
     assert!(
-        worsened * 2 >= runner.loss_probes.len(),
+        worsened * 2 >= runner.loss_probes().len(),
         "aggregation worsened only {worsened}/{} rounds",
-        runner.loss_probes.len()
+        runner.loss_probes().len()
     );
 }

@@ -387,9 +387,9 @@ fn hot_paths_are_allocation_free_after_warmup() {
         PpoConfig::default(),
         fed_cfg(256),
     );
-    fa.aggregate(0);
-    fa.aggregate(1);
-    let (calls, bytes, _) = count_allocs(|| fa.aggregate(2));
+    fa.aggregate();
+    fa.aggregate();
+    let (calls, bytes, _) = count_allocs(|| fa.aggregate());
     assert_eq!(
         (calls, bytes),
         (0, 0),
@@ -429,9 +429,9 @@ fn hot_paths_are_allocation_free_after_warmup() {
     .with_attack_plan(AttackPlan::new(11).with_sign_flip(0.25, 1.0))
     .with_robust_aggregator(RobustConfig::defended())
     .with_quarantine_policy(QuarantinePolicy { evict_after: 1_000_000, ..Default::default() });
-    df.aggregate(0);
-    df.aggregate(1);
-    let (calls, bytes, _) = count_allocs(|| df.aggregate(2));
+    df.aggregate();
+    df.aggregate();
+    let (calls, bytes, _) = count_allocs(|| df.aggregate());
     assert_eq!(
         (calls, bytes),
         (0, 0),
