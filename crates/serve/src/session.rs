@@ -152,11 +152,12 @@ impl Session {
         })
     }
 
-    /// Writes the current observation into `state` (first half of a
-    /// decision). The sharded service uses this to fill one row of a wave's
-    /// state matrix before running a single batched forward for the wave.
-    pub(crate) fn observe_into(&self, state: &mut Vec<f32>) {
-        self.env.observe_into(state);
+    /// Writes the current observation into `state`, one `state_dim` row
+    /// (first half of a decision). The sharded service observes straight
+    /// into a row of a wave's state matrix before running a single batched
+    /// forward for the wave.
+    pub(crate) fn observe_into(&self, state: &mut [f32]) {
+        self.env.observe_into_slice(state);
     }
 
     /// Second half of a decision, given already-computed `logits` for the

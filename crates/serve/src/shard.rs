@@ -244,7 +244,6 @@ struct Shard {
     plans: Vec<Plan>,
     /// Wave scratch: `(id, slot, plan, row-within-plan)` in arrival order.
     wave: Vec<(SessionId, usize, usize, usize)>,
-    state_tmp: Vec<f32>,
     mask_tmp: Vec<bool>,
     counters: Counters,
     /// Ramp epoch this shard has synchronized with.
@@ -264,7 +263,6 @@ impl Shard {
             queue: VecDeque::new(),
             plans: Vec::new(),
             wave: Vec::new(),
-            state_tmp: Vec::new(),
             mask_tmp: Vec::new(),
             counters: Counters::default(),
             seen_epoch: 0,
@@ -318,6 +316,7 @@ impl Shard {
 
     /// Applies a committed ramp: every plan (and member session) of the
     /// ramped client at an older version adopts the candidate parameters.
+    /// Idempotent: a ramp this shard already applied changes nothing.
     fn apply_commit(&mut self, core: &RampCore) {
         let mut upgraded = vec![false; self.plans.len()];
         for (i, plan) in self.plans.iter_mut().enumerate() {
@@ -335,6 +334,29 @@ impl Shard {
     }
 }
 
+/// The service's view of ramps, guarded by one lock that only publishes and
+/// epoch changes take.
+#[derive(Default)]
+struct RampBoard {
+    /// The most recently published (valid) ramp.
+    active: Option<Arc<RampCore>>,
+    /// Latest committed ramp per client. A shard that ran no wave between
+    /// a commit and the next publish never held that ramp; it applies these
+    /// when it next syncs, before adopting the newer ramp.
+    committed: Vec<Arc<RampCore>>,
+}
+
+impl RampBoard {
+    /// Remembers `core` (already committed) as its client's latest commit.
+    fn record_commit(&mut self, core: Arc<RampCore>) {
+        match self.committed.iter_mut().find(|c| c.client == core.client) {
+            Some(c) if c.version < core.version => *c = core,
+            Some(_) => {}
+            None => self.committed.push(core),
+        }
+    }
+}
+
 /// The sharded serving front end. `&self` everywhere: the service is
 /// `Sync` and one worker thread per shard drains waves concurrently.
 pub struct ShardedDecisionService {
@@ -344,7 +366,7 @@ pub struct ShardedDecisionService {
     next_seq: AtomicU64,
     /// Bumped on publish; shards lazily pick up the new ramp at wave start.
     ramp_epoch: AtomicU64,
-    ramp: Mutex<Option<Arc<RampCore>>>,
+    ramp: Mutex<RampBoard>,
     telemetry: Telemetry,
 }
 
@@ -360,7 +382,7 @@ impl ShardedDecisionService {
             shards: (0..cfg.shards).map(|_| Mutex::new(Shard::new())).collect(),
             next_seq: AtomicU64::new(0),
             ramp_epoch: AtomicU64::new(0),
-            ramp: Mutex::new(None),
+            ramp: Mutex::new(RampBoard::default()),
             telemetry: Telemetry::noop(),
         }
     }
@@ -595,11 +617,9 @@ impl ShardedDecisionService {
         for plan in shard.plans.iter_mut().filter(|p| !p.rows.is_empty()) {
             plan.states.resize(plan.rows.len(), plan.sizes[0]);
         }
-        for w in 0..shard.wave.len() {
-            let (_, slot, plan, row) = shard.wave[w];
+        for &(_, slot, plan, row) in &shard.wave {
             let entry = shard.slots[slot].as_ref().expect("wave member present");
-            entry.session.observe_into(&mut shard.state_tmp);
-            shard.plans[plan].states.row_mut(row).copy_from_slice(&shard.state_tmp);
+            entry.session.observe_into(shard.plans[plan].states.row_mut(row));
         }
 
         // One batched forward per plan; shadow-evaluate an active ramp on
@@ -681,15 +701,21 @@ impl ShardedDecisionService {
     }
 
     /// Picks up a newly published ramp and settles terminal ones (see
-    /// [`Shard::settle_ramp`]). A ramp that committed since this shard's
-    /// last wave is applied *before* a newer publish replaces it, so the
-    /// retired version stops serving here either way.
+    /// [`Shard::settle_ramp`]). Every commit is applied *before* a newer
+    /// publish replaces it — the one this shard held, and any it never saw
+    /// because it ran no wave between that commit and the next publish —
+    /// so the retired version stops serving here either way. Between
+    /// publishes this is one epoch compare.
     fn sync_ramp(&self, shard: &mut Shard) {
         let epoch = self.ramp_epoch.load(Ordering::Acquire);
         if shard.seen_epoch != epoch {
             shard.settle_ramp();
             shard.seen_epoch = epoch;
-            shard.ramp = self.ramp.lock().expect("ramp lock poisoned").clone();
+            let board = self.ramp.lock().expect("ramp lock poisoned");
+            for core in &board.committed {
+                shard.apply_commit(core);
+            }
+            shard.ramp = board.active.clone();
             shard.ramp_actor = None;
         }
         shard.settle_ramp();
@@ -722,8 +748,8 @@ impl ShardedDecisionService {
                 serving.sizes()
             )));
         }
-        let mut slot = self.ramp.lock().expect("ramp lock poisoned");
-        if let Some(active) = slot.as_ref() {
+        let mut board = self.ramp.lock().expect("ramp lock poisoned");
+        if let Some(active) = board.active.as_ref() {
             if active.status() == RampStatus::Shadow {
                 return Err(ServeError::RampRejected(format!(
                     "ramp to {}@v{} still shadowing",
@@ -748,8 +774,12 @@ impl ShardedDecisionService {
             self.telemetry.counter("serve/ramp_rollbacks", 1);
             return Ok(RampHandle { core });
         }
-        *slot = Some(core.clone());
-        drop(slot);
+        if let Some(prev) = board.active.replace(core.clone()) {
+            if prev.status() == RampStatus::Committed {
+                board.record_commit(prev);
+            }
+        }
+        drop(board);
         self.ramp_epoch.fetch_add(1, Ordering::Release);
         Ok(RampHandle { core })
     }
@@ -914,6 +944,38 @@ mod tests {
         for _ in 0..3 {
             svc.submit(id).unwrap();
             let out = svc.decide_wave(0);
+            assert_eq!(out[0].1.version, candidate.version, "retired version served");
+        }
+    }
+
+    #[test]
+    fn lagging_shard_applies_a_commit_it_never_saw() {
+        let svc = sharded(2);
+        // One session of client "a" on each shard.
+        let mut on_shard = [None, None];
+        while on_shard.iter().any(Option::is_none) {
+            let id = svc.open_session("a").unwrap();
+            on_shard[shard_of(id)].get_or_insert(id);
+        }
+        let [lead, lag] = on_shard.map(Option::unwrap);
+        for id in [lead, lag] {
+            svc.begin_episode(id, &tiny_tasks(30)).unwrap();
+        }
+        let mut candidate = tiny_snapshot("a");
+        candidate.version += 1;
+        let ramp = svc.publish(&candidate, 1).unwrap();
+        // Only the leading shard runs a wave: it shadows and commits.
+        svc.submit(lead).unwrap();
+        svc.decide_wave(shard_of(lead));
+        assert_eq!(ramp.status(), RampStatus::Committed);
+        // A newer ramp is published before the lagging shard's next wave,
+        // so that shard never holds the committed ramp itself.
+        let mut next = tiny_snapshot("b");
+        next.version += 1;
+        svc.publish(&next, 100).unwrap();
+        for id in [lag, lead] {
+            svc.submit(id).unwrap();
+            let out = svc.decide_wave(shard_of(id));
             assert_eq!(out[0].1.version, candidate.version, "retired version served");
         }
     }

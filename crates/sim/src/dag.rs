@@ -468,6 +468,7 @@ impl SchedulingEnv for DagCloudEnv {
     }
 
     fn observe_into(&self, out: &mut Vec<f32>) {
+        out.resize(self.dims.state_dim(), 0.0);
         crate::state::encode_state_into(
             &self.dims,
             &self.cluster,

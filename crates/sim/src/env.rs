@@ -240,9 +240,18 @@ impl CloudEnv {
         out
     }
 
-    /// [`CloudEnv::observe`] into a reusable buffer — the per-decision
-    /// inference path allocates nothing after warmup.
+    /// [`CloudEnv::observe`] into a reusable buffer (resized to
+    /// [`EnvDims::state_dim`]) — the per-decision inference path allocates
+    /// nothing after warmup.
     pub fn observe_into(&self, out: &mut Vec<f32>) {
+        out.resize(self.dims.state_dim(), 0.0);
+        self.observe_into_slice(out);
+    }
+
+    /// [`CloudEnv::observe`] into a slice of exactly
+    /// [`EnvDims::state_dim`] floats, e.g. one row of a batch's state
+    /// matrix; every element is overwritten.
+    pub fn observe_into_slice(&self, out: &mut [f32]) {
         crate::state::encode_state_into(
             &self.dims,
             &self.cluster,

@@ -2,6 +2,7 @@
 
 use crate::cluster::Cluster;
 use crate::config::EnvDims;
+use crate::RESOURCE_DIMS;
 use pfrl_workloads::TaskSpec;
 
 /// Marker value for *void* slots (absent VMs / vCPUs), as in Fig. 6.
@@ -23,58 +24,57 @@ pub fn encode_state(
     queue_head: &[TaskSpec],
     now: u64,
 ) -> Vec<f32> {
-    let mut s = Vec::with_capacity(dims.state_dim());
+    let mut s = vec![0.0; dims.state_dim()];
     encode_state_into(dims, cluster, queue_head, now, &mut s);
     s
 }
 
-/// [`encode_state`] into a reusable buffer (cleared first; retains capacity
-/// across calls, so per-decision observation stops allocating after the
-/// first episode). Accepts any iterator over the visible queue head so the
+/// [`encode_state`] into `out`, which must be exactly
+/// [`EnvDims::state_dim`] long; every element is overwritten, so `out` may
+/// hold anything beforehand (a reused buffer, or a row of a batch's state
+/// matrix). Accepts any iterator over the visible queue head so the
 /// environments can feed their `VecDeque` directly.
+///
+/// Each section is first filled with its padding value, then the present
+/// VMs and queued tasks are written by index.
+///
+/// # Panics
+/// If `out.len() != dims.state_dim()`.
 pub fn encode_state_into<'a>(
     dims: &EnvDims,
     cluster: &Cluster,
     queue_head: impl IntoIterator<Item = &'a TaskSpec>,
     now: u64,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) {
-    out.clear();
+    assert_eq!(out.len(), dims.state_dim(), "state buffer length");
     let cpu_norm = dims.max_vcpus as f32;
     let mem_norm = dims.max_mem_gb;
+    let width = dims.max_vcpus as usize;
+    let (s_vm, rest) = out.split_at_mut(dims.max_vms * RESOURCE_DIMS);
+    let (s_vcpu, s_queue) = rest.split_at_mut(dims.max_vms * width);
+    s_vm.fill(VOID);
+    s_vcpu.fill(VOID);
+    s_queue.fill(0.0);
 
-    // S^VM: remaining capacity.
-    for i in 0..dims.max_vms {
-        if let Some(vm) = cluster.vms().get(i) {
-            out.push(vm.free_vcpus() as f32 / cpu_norm);
-            out.push(vm.free_mem() / mem_norm);
-        } else {
-            out.push(VOID);
-            out.push(VOID);
-        }
-    }
-
-    // S^vCPU: per-vCPU progress.
-    for i in 0..dims.max_vms {
-        match cluster.vms().get(i) {
-            Some(vm) => vm.push_vcpu_progress(now, dims.max_vcpus as usize, VOID, out),
-            None => out.extend(std::iter::repeat_n(VOID, dims.max_vcpus as usize)),
-        }
+    for ((vm, cap), progress) in cluster
+        .vms()
+        .iter()
+        .zip(s_vm.chunks_exact_mut(RESOURCE_DIMS))
+        .zip(s_vcpu.chunks_exact_mut(width))
+    {
+        // S^VM: remaining capacity.
+        cap[0] = vm.free_vcpus() as f32 / cpu_norm;
+        cap[1] = vm.free_mem() / mem_norm;
+        // S^vCPU: per-vCPU progress; slots past the VM's vCPUs stay VOID.
+        vm.write_vcpu_progress(now, progress);
     }
 
     // S^Queue: waiting-task demands.
-    let mut heads = queue_head.into_iter();
-    for _ in 0..dims.queue_slots {
-        if let Some(t) = heads.next() {
-            out.push(t.vcpus as f32 / cpu_norm);
-            out.push(t.mem_gb / mem_norm);
-        } else {
-            out.push(0.0);
-            out.push(0.0);
-        }
+    for (slot, t) in s_queue.chunks_exact_mut(RESOURCE_DIMS).zip(queue_head) {
+        slot[0] = t.vcpus as f32 / cpu_norm;
+        slot[1] = t.mem_gb / mem_norm;
     }
-
-    debug_assert_eq!(out.len(), dims.state_dim());
 }
 
 #[cfg(test)]

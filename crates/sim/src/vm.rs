@@ -176,35 +176,24 @@ impl Vm {
     /// idle slots report 0 (the `O_i^k` of Eq. (1)).
     pub fn vcpu_progress(&self, now: u64) -> Vec<f32> {
         let mut slots = vec![0.0f32; self.spec.vcpus as usize];
-        let mut cursor = 0usize;
-        for t in &self.running {
-            let p = t.progress(now);
-            for s in slots.iter_mut().skip(cursor).take(t.vcpus as usize) {
-                *s = p;
-            }
-            cursor += t.vcpus as usize;
-        }
+        self.write_vcpu_progress(now, &mut slots);
         slots
     }
 
-    /// Appends exactly `width` per-vCPU progress entries to `out`:
-    /// [`Vm::vcpu_progress`] truncated/padded to `width` with `pad`
-    /// (allocation-free form used by the state encoder's hot path).
-    pub fn push_vcpu_progress(&self, now: u64, width: usize, pad: f32, out: &mut Vec<f32>) {
-        let n = self.spec.vcpus as usize;
-        let start = out.len();
-        for k in 0..width {
-            out.push(if k < n { 0.0 } else { pad });
-        }
-        let slots = &mut out[start..start + n.min(width)];
+    /// Writes [`Vm::vcpu_progress`] into the first `min(vcpus, slots.len())`
+    /// entries of `slots`, truncating to the slice; entries past the VM's
+    /// vCPU count are left untouched (allocation-free form the state
+    /// encoder writes straight into its padded `S^vCPU` section).
+    pub(crate) fn write_vcpu_progress(&self, now: u64, slots: &mut [f32]) {
+        let live = (self.spec.vcpus as usize).min(slots.len());
+        let slots = &mut slots[..live];
         let mut cursor = 0usize;
         for t in &self.running {
-            let p = t.progress(now);
-            for s in slots.iter_mut().skip(cursor).take(t.vcpus as usize) {
-                *s = p;
-            }
-            cursor += t.vcpus as usize;
+            let end = (cursor + t.vcpus as usize).min(live);
+            slots[cursor..end].fill(t.progress(now));
+            cursor = end;
         }
+        slots[cursor..].fill(0.0);
     }
 }
 

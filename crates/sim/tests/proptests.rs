@@ -1,5 +1,6 @@
 //! Property-based tests of the simulator primitives.
 
+use pfrl_sim::state::{encode_state_into, VOID};
 use pfrl_sim::{Cluster, EnvConfig, EnvDims, EventCalendar, EventKind, VmSpec};
 use pfrl_workloads::TaskSpec;
 use proptest::prelude::*;
@@ -189,5 +190,99 @@ proptest! {
         let mut rotated = events.clone();
         rotated.rotate_left(k);
         prop_assert_eq!(pop_all(&rotated), baseline);
+    }
+}
+
+/// Eq. (1) written one element at a time, in layout order, straight from
+/// the definitions: the plain reference the slice encoder must reproduce.
+fn reference_encoding(dims: &EnvDims, cluster: &Cluster, queue: &[TaskSpec], now: u64) -> Vec<f32> {
+    let cpu_norm = dims.max_vcpus as f32;
+    let mut s = Vec::new();
+    for i in 0..dims.max_vms {
+        match cluster.vms().get(i) {
+            Some(vm) => {
+                s.push(vm.free_vcpus() as f32 / cpu_norm);
+                s.push(vm.free_mem() / dims.max_mem_gb);
+            }
+            None => s.extend([VOID, VOID]),
+        }
+    }
+    for i in 0..dims.max_vms {
+        for k in 0..dims.max_vcpus as usize {
+            let v = match cluster.vms().get(i) {
+                Some(vm) if k < vm.spec.vcpus as usize => {
+                    // Running tasks own consecutive slots in placement order.
+                    let mut first = 0usize;
+                    let mut p = 0.0;
+                    for t in vm.running() {
+                        if (first..first + t.vcpus as usize).contains(&k) {
+                            p = t.progress(now);
+                            break;
+                        }
+                        first += t.vcpus as usize;
+                    }
+                    p
+                }
+                _ => VOID,
+            };
+            s.push(v);
+        }
+    }
+    for j in 0..dims.queue_slots {
+        match queue.get(j) {
+            Some(t) => s.extend([t.vcpus as f32 / cpu_norm, t.mem_gb / dims.max_mem_gb]),
+            None => s.extend([0.0, 0.0]),
+        }
+    }
+    s
+}
+
+proptest! {
+    /// The section-filling slice encoder equals the per-element reference
+    /// bit for bit: fleets of up to `max_vms` VMs (absent slots included,
+    /// and VMs wider than `max_vcpus`), running tasks at assorted progress,
+    /// queues shorter and longer than `queue_slots`, written into a buffer
+    /// prefilled with NaN.
+    #[test]
+    fn slice_encoder_matches_per_element_reference(
+        (max_vms, max_vcpus, queue_slots) in (1usize..=6, 1u32..=16, 1usize..=5),
+        vms in proptest::collection::vec((1u32..=18, 1u32..=64), 1..=6),
+        placements in proptest::collection::vec(
+            (0usize..6, 1u32..=8, 1u32..=32, 1u64..=40, 0u64..=80),
+            0..24,
+        ),
+        queue in proptest::collection::vec((1u32..=16, 1u32..=64), 0..=8),
+        now in 0u64..=80,
+    ) {
+        let dims = EnvDims::new(max_vms, max_vcpus, 64.0, queue_slots);
+        let specs: Vec<VmSpec> =
+            vms.iter().take(max_vms).map(|&(c, m)| VmSpec::new(c, m as f32)).collect();
+        let mut cluster = Cluster::new(&specs);
+        for (id, &(vm, vcpus, mem, duration, start)) in placements.iter().enumerate() {
+            let task =
+                TaskSpec { id: id as u64, arrival: 0, vcpus, mem_gb: mem as f32, duration };
+            let vm = vm % specs.len();
+            if cluster.vms()[vm].can_fit(&task) {
+                cluster.vm_mut(vm).place(&task, start.min(now));
+            }
+        }
+        let queue: Vec<TaskSpec> = queue
+            .iter()
+            .enumerate()
+            .map(|(id, &(c, m))| TaskSpec {
+                id: id as u64,
+                arrival: 0,
+                vcpus: c,
+                mem_gb: m as f32,
+                duration: 1,
+            })
+            .collect();
+
+        let want = reference_encoding(&dims, &cluster, &queue, now);
+        let mut got = vec![f32::NAN; dims.state_dim()];
+        encode_state_into(&dims, &cluster, &queue, now, &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(want.len(), dims.state_dim());
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }

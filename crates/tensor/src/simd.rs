@@ -234,13 +234,6 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// One column tile (`V` vectors of 8 plus `tail` scalar columns) of a
-    /// single-row product `out[col0..] = x · w[:, col0..] (+ bias)`.
-    ///
-    /// Accumulators live in registers for the whole contraction; each
-    /// output column sees `acc += x[p] * w[p][j]` in ascending `p` with the
-    /// reference's exact-zero skip, then the bias added last — the same
-    /// per-element sequence as the scalar reference, hence bit-identical.
     /// Lane mask for a partial (`tail < 8`) column vector: lanes `< tail`
     /// have the sign bit set (loaded/stored by `vmaskmovps`), the rest are
     /// suppressed — masked lanes read as `+0.0` and are never written, so
@@ -251,6 +244,13 @@ pub(crate) mod avx2 {
         _mm256_setr_epi32(lane(0), lane(1), lane(2), lane(3), lane(4), lane(5), lane(6), lane(7))
     }
 
+    /// One column tile (`V` vectors of 8 plus `tail` scalar columns) of a
+    /// single-row product `out[col0..] = x · w[:, col0..] (+ bias)`.
+    ///
+    /// Accumulators live in registers for the whole contraction; each
+    /// output column sees `acc += x[p] * w[p][j]` in ascending `p` with the
+    /// reference's exact-zero skip, then the bias added last — the same
+    /// per-element sequence as the scalar reference, hence bit-identical.
     #[target_feature(enable = "avx2")]
     unsafe fn matvec_tile<const V: usize>(
         x: &[f32],
@@ -339,15 +339,78 @@ pub(crate) mod avx2 {
         matvec_bias_cols(x, w, n, 0, bias, out);
     }
 
+    /// Rows interleaved by [`matmul_narrow_rows`].
+    const NARROW_ROWS: usize = 4;
+
+    /// `NARROW_ROWS` batch rows of a product narrower than one vector
+    /// (`n < 8`): `out[r] = a[r] · w (+ bias)`, with `a` holding the rows'
+    /// `k` inputs back to back and `out` their `n` outputs.
+    ///
+    /// Each row keeps one accumulator and all rows share one masked load of
+    /// `w[p]` per contraction step, so the per-row add chains run side by
+    /// side instead of one latency-bound chain at a time. The reference's
+    /// exact-zero skip becomes a mask rather than a branch: a product whose
+    /// input is `±0.0` is replaced by `+0.0` (`_CMP_NEQ_UQ` keeps NaN
+    /// inputs, which the reference does not skip either). The accumulator
+    /// starts at `+0.0` and, under round-to-nearest, a sum is `-0.0` only
+    /// if both addends are, so it is never `-0.0`; adding `+0.0` therefore
+    /// leaves its bits unchanged even where `0 · w[p]` would have been NaN
+    /// (non-finite weights). Per output element this is the reference's
+    /// sequence exactly: `acc += a[p] * w[p][j]` over the non-zero `a[p]`
+    /// in ascending `p`, then the bias.
+    ///
+    /// # Safety
+    /// AVX2 must be available, and the lengths must match the shape:
+    /// `a.len() == NARROW_ROWS * k`, `w.len() == k * n`,
+    /// `out.len() == NARROW_ROWS * n`, and `bias`, if any, holds `n`
+    /// values; loads and stores are unchecked within those bounds.
+    #[target_feature(enable = "avx2")]
+    unsafe fn matmul_narrow_rows(
+        a: &[f32],
+        k: usize,
+        w: &[f32],
+        n: usize,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        debug_assert!(n < 8);
+        debug_assert_eq!(a.len(), NARROW_ROWS * k);
+        debug_assert_eq!(out.len(), NARROW_ROWS * n);
+        let mask = tail_mask(n);
+        let zero = _mm256_setzero_ps();
+        let mut acc = [zero; NARROW_ROWS];
+        for p in 0..k {
+            let wv = _mm256_maskload_ps(w.as_ptr().add(p * n), mask);
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let va = _mm256_broadcast_ss(a.get_unchecked(r * k + p));
+                let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(va, zero);
+                *acc = _mm256_add_ps(*acc, _mm256_and_ps(_mm256_mul_ps(va, wv), live));
+            }
+        }
+        for (r, &acc) in acc.iter().enumerate() {
+            let mut res = acc;
+            if let Some(b) = bias {
+                res = _mm256_add_ps(res, _mm256_maskload_ps(b.as_ptr(), mask));
+            }
+            _mm256_maskstore_ps(out.as_mut_ptr().add(r * n), mask, res);
+        }
+    }
+
     /// Batched `out = a · w (+ bias per row)`; `a` is `m×k`, `w` is `k×n`,
-    /// both row-major. Each output row runs through the register-tiled
-    /// single-row kernel in sequence, so `a` streams row-major and `w`
-    /// stays hot in L1 across rows (the paper-scale layer is 46 KB).
-    /// Cross-row register blocks (sharing one `w` load over several batch
-    /// rows) were measured *slower* here: they walk `a` column-wise —
-    /// touching one cache line per batch row per contraction step — and put
-    /// a data-dependent zero-skip branch per row inside the inner loop.
-    /// Row-at-a-time is also trivially bit-identical to [`matvec_bias`].
+    /// both row-major.
+    ///
+    /// The kernel is chosen by shape. Wide outputs (`n ≥ 8`, the hidden
+    /// layer) run each row through the register-tiled single-row kernel in
+    /// sequence: one row already fills the FP ports with independent
+    /// column accumulators (separate `mul` + `add`, no FMA), so `a` streams
+    /// row-major and `w` stays hot in L1 across rows (the paper-scale layer
+    /// is 46 KB); blocking several rows over one `w` load was measured
+    /// 1.7–2× slower there. Narrow outputs (`n < 8`: the actor and critic
+    /// heads) are one serial add chain per row, bound by add latency, so
+    /// groups of [`NARROW_ROWS`] rows interleave their chains
+    /// ([`matmul_narrow_rows`]); leftover rows take the single-row path.
+    /// Either way every output element sees the reference sequence, so a
+    /// batched row is bit-identical to [`matvec_bias`] on that row.
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn matmul_bias(
         a: &[f32],
@@ -361,7 +424,15 @@ pub(crate) mod avx2 {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(w.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
-        for i in 0..m {
+        let mut i = 0;
+        if (1..8).contains(&n) {
+            while i + NARROW_ROWS <= m {
+                let j = i + NARROW_ROWS;
+                matmul_narrow_rows(&a[i * k..j * k], k, w, n, bias, &mut out[i * n..j * n]);
+                i = j;
+            }
+        }
+        for i in i..m {
             matvec_bias_cols(&a[i * k..(i + 1) * k], w, n, 0, bias, &mut out[i * n..(i + 1) * n]);
         }
     }

@@ -211,7 +211,9 @@ proptest! {
 //     counts crossing the 64-column tile boundary (masked-tail paths);
 //   * exact zeros in the input vector (the reference kernel's zero-skip
 //     branch — skippable because `acc + 0.0·w` is bit-identical to `acc`
-//     for every accumulator this kernel can produce);
+//     for every accumulator this kernel can produce), signed and varying
+//     per batch row, including behind non-finite weights where `0·w` would
+//     be NaN (the batched narrow-output kernel masks instead of branching);
 //   * `-inf` logits, as produced by action masking, including whole-slice
 //     `-inf` (the uniform-fallback row of softmax);
 //   * dirty output buffers (NaN-filled, or stale from a previous larger
@@ -258,6 +260,64 @@ fn matvec_triple() -> impl Strategy<Value = (Vec<f32>, Matrix, Vec<f32>)> {
     })
 }
 
+/// Values with fat atoms at `+0.0` and `-0.0` (both take the zero-skip).
+fn signed_zeroish(n: usize) -> impl Strategy<Value = Vec<f32>> {
+    (proptest::collection::vec(-8.0f32..8.0, n), proptest::collection::vec(0u8..6, n)).prop_map(
+        |(vals, picks)| {
+            vals.into_iter()
+                .zip(picks)
+                .map(|(v, p)| match p {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                })
+                .collect()
+        },
+    )
+}
+
+/// Ragged batched `(a, w, bias)` triples. Up to 11 rows covers whole
+/// 4-row groups of the narrow-output kernel plus every remainder; each row
+/// draws its own zero pattern; half the draws take a narrow (`n < 8`)
+/// output, the shape of the actor and critic heads.
+fn matmul_triple(
+    rows: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = (Matrix, Matrix, Vec<f32>)> {
+    (rows, 1usize..=70, 1usize..8, 1usize..=70, 0u8..2).prop_flat_map(
+        |(m, k, narrow, wide, pick)| {
+            let n = if pick == 0 { narrow } else { wide };
+            (
+                signed_zeroish(m * k).prop_map(move |d| Matrix::from_vec(m, k, d)),
+                proptest::collection::vec(-5.0f32..5.0, k * n)
+                    .prop_map(move |d| Matrix::from_vec(k, n, d)),
+                proptest::collection::vec(-2.0f32..2.0, n),
+            )
+        },
+    )
+}
+
+/// The NaN x86 arithmetic produces (`inf - inf`, `0 · inf`). Poisoning
+/// weights with this NaN means every NaN in play carries the same bits, so
+/// a bitwise comparison never hinges on which NaN operand an add returns.
+const X86_DEFAULT_NAN: f32 = f32::from_bits(0xffc0_0000);
+
+/// The batched kernel must equal one matvec per row — the property the
+/// sharded serving wave leans on: collapsing many same-snapshot decisions
+/// into one GEMM changes nothing, bitwise.
+fn assert_rows_match_matvec(
+    a: &Matrix,
+    w: &Matrix,
+    bias: &[f32],
+    got: &Matrix,
+) -> Result<(), String> {
+    let mut row_want = vec![0.0f32; w.cols()];
+    for i in 0..a.rows() {
+        ops::reference::matvec_bias_into(a.row(i), w, Some(bias), &mut row_want);
+        prop_assert_eq!(bits(got.row(i)), bits(&row_want), "row {}", i);
+    }
+    Ok(())
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -284,34 +344,57 @@ proptest! {
     }
 
     #[test]
-    fn simd_matmul_bias_is_bitwise_reference(
-        (x, w, bias) in matvec_triple(),
-        m in 1usize..=6,
-    ) {
-        // Batch: m copies of x with row-dependent perturbation so rows are
-        // distinct but the zero pattern survives (0.0 * anything == 0.0).
-        let k = x.len();
-        let mut a = Matrix::zeros(m, k);
-        for i in 0..m {
-            for (j, &v) in x.iter().enumerate() {
-                a[(i, j)] = v * (1.0 + i as f32 * 0.25);
-            }
-        }
-        let mut want = Matrix::zeros(m, w.cols());
+    fn simd_matmul_bias_is_bitwise_reference((a, w, bias) in matmul_triple(1..=11)) {
+        let mut want = Matrix::zeros(a.rows(), w.cols());
         ops::reference::matmul_bias_into(&a, &w, Some(&bias), &mut want);
         let mut got = Matrix::filled(2, 3, f32::NAN);
         ops::matmul_bias_into(&a, &w, &bias, &mut got);
         prop_assert_eq!(got.shape(), want.shape());
         prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+        assert_rows_match_matvec(&a, &w, &bias, &got)?;
 
-        // The batched kernel must also equal one matvec per row — this is
-        // the property the sharded serving wave leans on: collapsing many
-        // same-snapshot decisions into one GEMM changes nothing, bitwise.
-        let mut row_want = vec![0.0f32; w.cols()];
-        for i in 0..m {
-            ops::reference::matvec_bias_into(a.row(i), &w, Some(&bias), &mut row_want);
-            prop_assert_eq!(bits(got.row(i)), bits(&row_want), "row {}", i);
+        // And the no-bias form against the no-bias reference.
+        let mut want_nb = Matrix::zeros(a.rows(), w.cols());
+        ops::reference::matmul_bias_into(&a, &w, None, &mut want_nb);
+        let mut got_nb = Matrix::filled(1, 1, f32::NAN);
+        ops::matmul_into(&a, &w, &mut got_nb);
+        prop_assert_eq!(bits(got_nb.as_slice()), bits(want_nb.as_slice()));
+    }
+
+    #[test]
+    fn simd_matmul_bias_skips_nonfinite_weights_behind_zero_inputs(
+        (mut a, mut w, bias) in matmul_triple(2..=11),
+        poison in proptest::collection::vec(0u8..2, 70),
+    ) {
+        // Poison whole weight rows `p` with ±inf and NaN. Batch rows
+        // 0, 3, 6, … read an exact (signed) zero at every poisoned `p`, so
+        // the reference skips those terms and keeps them finite; every
+        // other row reads a non-zero input there and goes non-finite. A
+        // kernel that multiplies instead of skipping leaks NaN (0 · inf)
+        // into the clean rows, including the ones that share a 4-row group
+        // with poisoned rows.
+        let (k, n) = (w.rows(), w.cols());
+        for p in (0..k).filter(|&p| poison[p] == 1) {
+            for j in 0..n {
+                w[(p, j)] = [f32::INFINITY, f32::NEG_INFINITY, X86_DEFAULT_NAN][(p + j) % 3];
+            }
+            for r in 0..a.rows() {
+                a[(r, p)] = if r % 3 == 0 {
+                    if p % 2 == 0 { 0.0 } else { -0.0 }
+                } else if a[(r, p)] == 0.0 {
+                    1.5
+                } else {
+                    a[(r, p)]
+                };
+            }
         }
+        let mut want = Matrix::zeros(a.rows(), n);
+        ops::reference::matmul_bias_into(&a, &w, Some(&bias), &mut want);
+        prop_assert!(want.row(0).iter().all(|v| v.is_finite()));
+        let mut got = Matrix::filled(1, 1, f32::NAN);
+        ops::matmul_bias_into(&a, &w, &bias, &mut got);
+        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+        assert_rows_match_matvec(&a, &w, &bias, &got)?;
     }
 
     #[test]
