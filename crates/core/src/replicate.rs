@@ -1,10 +1,10 @@
-//! Multi-seed replication driver over [`FederatedRunner`].
+//! The replication seed axis of multi-seed evaluation.
 //!
 //! Single-seed curves are one sample from a noisy distribution — nothing a
-//! regression gate can lean on. [`run_replications`] fans `R` independent
-//! replications of one federation out over the rayon pool, each with a seed
-//! derived through its own labeled [`SeedStream`] branch, and hands the
-//! trained federations back for metric extraction.
+//! regression gate can lean on. The evaluation sweeps (`pfrl-eval`) train
+//! `R` independent replications per arm, each with a seed derived through
+//! its own labeled [`SeedStream`] branch; [`replication_seed`] is that
+//! derivation.
 //!
 //! # Seed policy
 //!
@@ -21,12 +21,7 @@
 //! axis disjoint from every existing stream by construction;
 //! `replication_seed` is the one place that derivation lives.
 
-use crate::experiment::{run_federation_with_options, Algorithm, RunOptions, TrainedFederation};
-use pfrl_fed::{ClientSetup, FedConfig, TrainingCurves};
-use pfrl_rl::PpoConfig;
-use pfrl_sim::{EnvConfig, EnvDims};
 use pfrl_stats::SeedStream;
-use rayon::prelude::*;
 
 /// The run seed of replication `rep` under `root` (see the module docs for
 /// why this is a labeled stream rather than `derive_seed(root, rep)`).
@@ -34,111 +29,9 @@ pub fn replication_seed(root: u64, rep: usize) -> u64 {
     SeedStream::new(root).child("replication").index(rep as u64).seed()
 }
 
-/// Everything one replication needs: the clients, the shared environment
-/// shape, and the algorithm/federation schedules.
-#[derive(Debug, Clone)]
-pub struct ReplicationSpec {
-    /// Client environments and private task pools.
-    pub setups: Vec<ClientSetup>,
-    /// Federation-wide observation/action dimensions.
-    pub dims: EnvDims,
-    /// Reward shaping and simulation options.
-    pub env_cfg: EnvConfig,
-    /// Agent hyperparameters.
-    pub ppo_cfg: PpoConfig,
-    /// Federation schedule. `seed` is overwritten with the replication
-    /// seed, and `parallel` is forced off when the replications themselves
-    /// run on the pool (one layer of parallelism, fanned at the widest
-    /// axis).
-    pub fed_cfg: FedConfig,
-    /// Run-shaping knobs: fault plan, drift/churn scenario, workflow pools
-    /// ([`RunOptions::default`] for a healthy flat-task run).
-    pub options: RunOptions,
-}
-
-/// One completed replication: its derived seed, the training curves, and
-/// the trained federation (for post-training evaluation).
-pub struct Replication {
-    /// Replication index, `0..n_reps`.
-    pub rep: usize,
-    /// The derived run seed (`replication_seed(root, rep)`).
-    pub seed: u64,
-    /// Per-client reward curves.
-    pub curves: TrainingCurves,
-    /// The trained federation, ready for greedy evaluation.
-    pub federation: TrainedFederation,
-}
-
-/// Trains `n_reps` independent replications of `algorithm` and returns
-/// them in replication order.
-///
-/// `spec_for(seed, rep)` builds each replication's spec; it MUST derive
-/// any randomness (workload sampling, splits) from `seed` alone so that a
-/// replication is a pure function of `(root_seed, rep)` — that is what
-/// makes paired cross-algorithm comparisons valid (same `rep` ⇒ identical
-/// clients and task pools for every algorithm).
-///
-/// With `parallel`, replications fan out over the rayon pool and each
-/// inner federation is forced sequential — the widest axis gets the
-/// threads, and results are bit-identical either way.
-pub fn run_replications(
-    algorithm: Algorithm,
-    n_reps: usize,
-    root_seed: u64,
-    parallel: bool,
-    spec_for: impl Fn(u64, usize) -> ReplicationSpec + Sync,
-) -> Vec<Replication> {
-    assert!(n_reps >= 1, "need at least one replication");
-    let run_one = |rep: &usize| -> Replication {
-        let rep = *rep;
-        let seed = replication_seed(root_seed, rep);
-        let mut spec = spec_for(seed, rep);
-        spec.fed_cfg.seed = seed;
-        if parallel {
-            spec.fed_cfg.parallel = false;
-        }
-        let (curves, federation) = run_federation_with_options(
-            algorithm,
-            spec.setups,
-            spec.dims,
-            spec.env_cfg,
-            spec.ppo_cfg,
-            spec.fed_cfg,
-            &spec.options,
-            pfrl_telemetry::Telemetry::noop(),
-        );
-        Replication { rep, seed, curves, federation }
-    };
-    let reps: Vec<usize> = (0..n_reps).collect();
-    if parallel {
-        reps.par_iter().map(run_one).collect()
-    } else {
-        reps.iter().map(run_one).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::{table2_clients, TABLE2_DIMS};
-
-    fn tiny_spec(seed: u64) -> ReplicationSpec {
-        ReplicationSpec {
-            setups: table2_clients(30, seed),
-            dims: TABLE2_DIMS,
-            env_cfg: EnvConfig::default(),
-            ppo_cfg: PpoConfig::default(),
-            fed_cfg: FedConfig {
-                episodes: 2,
-                comm_every: 1,
-                participation_k: 2,
-                tasks_per_episode: Some(8),
-                seed,
-                parallel: false,
-            },
-            options: RunOptions::default(),
-        }
-    }
 
     #[test]
     fn replication_seeds_are_distinct_and_labeled() {
@@ -152,35 +45,6 @@ mod tests {
             for client in 0..16u64 {
                 assert_ne!(s, pfrl_stats::derive_seed(root, client), "rep {rep}");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_replications_are_bit_identical() {
-        let seq = run_replications(Algorithm::FedAvg, 3, 5, false, tiny_spec_for);
-        let par = run_replications(Algorithm::FedAvg, 3, 5, true, tiny_spec_for);
-        assert_eq!(seq.len(), 3);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.rep, b.rep);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.curves, b.curves, "rep {} diverged across thread counts", a.rep);
-        }
-        // Distinct replications must actually differ (independent seeds).
-        assert_ne!(seq[0].curves, seq[1].curves);
-    }
-
-    fn tiny_spec_for(seed: u64, _rep: usize) -> ReplicationSpec {
-        tiny_spec(seed)
-    }
-
-    #[test]
-    fn federations_come_back_trained_and_evaluable() {
-        let mut reps = run_replications(Algorithm::Ppo, 2, 9, true, tiny_spec_for);
-        for r in &mut reps {
-            assert_eq!(r.federation.n_clients(), 4);
-            let tasks = r.federation.client_task_pools()[0].clone();
-            let m = r.federation.evaluate_client(0, &tasks);
-            assert!(m.makespan.is_finite());
         }
     }
 }

@@ -1,34 +1,12 @@
 //! Serialization of an [`EvalReport`]: `RESULTS.json` (machine-readable,
 //! consumed by the docs pipeline) and `RESULTS.md` (the paper-style
-//! comparison tables with CI bars).
-//!
-//! Hand-rolled JSON, same as `pfrl-telemetry`'s manifests — the offline
-//! build has no serde, and the format is flat enough that an emitter is
-//! less code than a dependency shim.
+//! comparison tables with CI bars), through the [`crate::sweep`] emitters.
 
 use crate::matrix::{Cell, EvalReport, Metric};
+use crate::sweep::json::{ci, f64s, jf, strs};
+use crate::sweep::{pm, write_pair};
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// A finite f64 prints as itself; NaN/inf become JSON strings so the file
-/// stays parseable even when the gate is about to fail on them.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        format!("\"{v}\"")
-    }
-}
-
-fn json_f64_array(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|&v| json_f64(v)).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_str_array(vs: &[String]) -> String {
-    let items: Vec<String> = vs.iter().map(|v| format!("{:?}", v)).collect();
-    format!("[{}]", items.join(","))
-}
 
 impl EvalReport {
     /// The full report as a JSON document.
@@ -43,22 +21,13 @@ impl EvalReport {
 
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            let ci = match &c.ci {
-                Some(ci) => format!(
-                    "{{\"mean\": {}, \"lo\": {}, \"hi\": {}}}",
-                    json_f64(ci.mean),
-                    json_f64(ci.lo),
-                    json_f64(ci.hi)
-                ),
-                None => "null".to_string(),
-            };
             out.push_str(&format!(
                 "    {{\"algorithm\": {:?}, \"family\": {:?}, \"metric\": {:?}, \"values\": {}, \"ci\": {}}}{}\n",
                 c.algorithm.name(),
                 c.family.name(),
                 c.metric.name(),
-                json_f64_array(&c.values),
-                ci,
+                f64s(&c.values, ","),
+                ci(&c.ci),
                 if i + 1 < self.cells.len() { "," } else { "" }
             ));
         }
@@ -69,11 +38,11 @@ impl EvalReport {
             out.push_str(&format!(
                 "    {{\"family\": {:?}, \"reward\": {}, \"reward_mean\": {}, \"response\": {}, \"response_mean\": {}, \"load_balance\": {}}}{}\n",
                 r.family.name(),
-                json_f64_array(&r.reward),
-                json_f64(r.reward_mean()),
-                json_f64_array(&r.response),
-                json_f64(r.response_mean()),
-                json_f64_array(&r.load_balance),
+                f64s(&r.reward, ","),
+                jf(r.reward_mean()),
+                f64s(&r.response, ","),
+                jf(r.response_mean()),
+                f64s(&r.load_balance, ","),
                 if i + 1 < self.random.len() { "," } else { "" }
             ));
         }
@@ -86,29 +55,23 @@ impl EvalReport {
                 t.family.name(),
                 t.metric.name(),
                 t.baseline.name(),
-                json_f64(t.mean_diff),
-                json_f64(t.p_raw),
-                json_f64(t.p_holm),
+                jf(t.mean_diff),
+                jf(t.p_raw),
+                jf(t.p_holm),
                 t.n_used,
                 if i + 1 < self.comparisons.len() { "," } else { "" }
             ));
         }
         out.push_str("  ],\n");
 
-        out.push_str(&format!("  \"nan_findings\": {}\n", json_str_array(&self.nan_findings)));
+        out.push_str(&format!("  \"nan_findings\": {}\n", strs(&self.nan_findings)));
         out.push_str("}\n");
         out
     }
 
     /// One table cell as `mean ± halfwidth`.
     fn md_cell(c: Option<&Cell>) -> String {
-        match c {
-            Some(cell) => match &cell.ci {
-                Some(ci) => format!("{:.2} ± {:.2}", ci.mean, ci.width() / 2.0),
-                None => "NaN".to_string(),
-            },
-            None => "—".to_string(),
-        }
+        c.map_or_else(|| "—".to_string(), |cell| pm(&cell.ci))
     }
 
     /// The paper-style comparison tables as markdown.
@@ -194,12 +157,7 @@ impl EvalReport {
     /// Writes `RESULTS.json` and `RESULTS.md` under `dir`, returning both
     /// paths.
     pub fn write_to(&self, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(dir)?;
-        let json = dir.join("RESULTS.json");
-        let md = dir.join("RESULTS.md");
-        std::fs::write(&json, self.to_json())?;
-        std::fs::write(&md, self.to_markdown())?;
-        Ok((json, md))
+        write_pair(dir, "RESULTS", &self.to_json(), &self.to_markdown())
     }
 }
 
