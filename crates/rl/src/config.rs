@@ -33,12 +33,6 @@ pub struct PpoConfig {
     /// letting it learn feasibility from penalties (an ablation — the
     /// paper's Eq. 9 penalty mechanism is the default, `false`).
     pub mask_invalid_actions: bool,
-    /// Run the critic regression *before* the policy update within each
-    /// batch (an update-order ablation; advantages are computed from the
-    /// pre-update value estimates either way, so only the order of the two
-    /// gradient passes changes). Default `false` = actor-first, as in the
-    /// paper's Algorithm 1.
-    pub critic_first: bool,
 }
 
 impl Default for PpoConfig {
@@ -56,7 +50,6 @@ impl Default for PpoConfig {
             critic_epochs: 10,
             episodes_per_update: 1,
             mask_invalid_actions: false,
-            critic_first: false,
         }
     }
 }
