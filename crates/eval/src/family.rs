@@ -5,6 +5,7 @@
 //! thing varying across families is workload heterogeneity — exactly the
 //! axis the paper studies (Sec. 3).
 
+use crate::sweep::sample_compressed;
 use pfrl_core::fed::ClientSetup;
 use pfrl_core::sim::{EnvDims, VmSpec};
 use pfrl_core::stats::SeedStream;
@@ -119,11 +120,8 @@ impl WorkloadFamily {
         let mut setups = Vec::with_capacity(4);
         let mut test_sets = Vec::with_capacity(4);
         for (k, (dataset, fleet)) in self.datasets().iter().zip(FLEETS).enumerate() {
-            let mut pool =
-                dataset.model().sample(samples, stream.child("family-pool").index(k as u64).seed());
-            for t in &mut pool {
-                t.arrival /= compression;
-            }
+            let pool_seed = stream.child("family-pool").index(k as u64).seed();
+            let pool = sample_compressed(*dataset, samples, compression, pool_seed);
             let split =
                 train_test_split(&pool, 0.6, stream.child("family-split").index(k as u64).seed());
             let vms: Vec<VmSpec> = fleet
