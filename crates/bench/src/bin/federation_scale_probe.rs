@@ -14,10 +14,15 @@
 //! * `PFRL_MAX_K=<n>`: caps the sweep (CI smoke uses 64)
 //!
 //! Output: `BENCH_federation_scale.json` (+ `.history.jsonl` keyed by git
-//! commit + a run manifest). `peak_rss_kb` is `VmHWM` — process-wide and
-//! monotonic, so points are swept in ascending-K order and the reading is
-//! only an upper bound for the K that produced it.
+//! commit + a run manifest). `peak_rss_kb` is `VmHWM`, reset to the current
+//! RSS before each point by writing `5` to `/proc/self/clear_refs`, so it
+//! is the process's peak RSS during that point rather than the running
+//! maximum over every earlier point (memory the allocator kept from
+//! earlier points still counts). Where the reset is unavailable `VmHWM`
+//! stays process-wide and monotonic; points are swept in ascending-K order,
+//! so the reading is then an upper bound for the K that produced it.
 
+use pfrl_bench::{append_history, git_commit};
 use pfrl_core::experiment::{federation_manifest, Algorithm};
 use pfrl_core::fed::{ClientSetup, FedConfig, PfrlDmRunner};
 use pfrl_core::nn::MultiHeadConfig;
@@ -59,6 +64,13 @@ fn peak_rss_kb() -> u64 {
         })
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
+}
+
+/// Resets the process `VmHWM` to the current RSS, so the next
+/// [`peak_rss_kb`] covers only what runs from here on. Returns whether the
+/// kernel accepted the reset.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 struct Point {
@@ -130,16 +142,6 @@ fn point_json(p: &Point) -> String {
     )
 }
 
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() {
     let scale = pfrl_bench::start("federation_scale_probe", "aggregation scaling, dense vs top-k");
     pfrl_bench::set_run_seed(SEED);
@@ -153,9 +155,10 @@ fn main() {
         ks.retain(|&k| k <= cap);
     }
 
-    // Ascending K within each arm keeps the monotonic VmHWM readings
-    // attributable; the dense arm runs first and therefore owns the
-    // high-water mark at equal K.
+    // Each point resets VmHWM first. Where the reset fails, ascending K
+    // within each arm keeps the monotonic readings upper bounds; the dense
+    // arm runs first and therefore owns the high-water mark at equal K.
+    let mut rss_per_point = true;
     let arms: [(&str, Option<usize>); 2] =
         [("dense", None), ("top8", Some(MultiHeadConfig::PAPER_TOP_K))];
     let results: Vec<(&str, Option<usize>, Vec<Point>)> = arms
@@ -164,6 +167,7 @@ fn main() {
             let points: Vec<Point> = ks
                 .iter()
                 .map(|&k| {
+                    rss_per_point &= reset_peak_rss();
                     let p = probe_point(k, top_k);
                     eprintln!(
                         "# {name} K={k}: {:.1} us/round agg, {} B up, arena {} B, rss {} kB",
@@ -201,14 +205,20 @@ fn main() {
             "  \"scale\": \"{scale}\",\n",
             "  \"seed\": {seed},\n",
             "  \"rounds_per_point\": {rounds},\n",
-            "  \"note\": \"peak_rss_kb is VmHWM: process-wide, monotonic; ",
-            "points are swept in ascending K, dense arm first\",\n",
+            "  \"note\": \"{note}\",\n",
             "  \"arms\": [\n{arms}\n  ]\n",
             "}}\n"
         ),
         scale = if scale.is_paper { "paper" } else { "quick" },
         seed = SEED,
         rounds = ROUNDS_PER_POINT,
+        note = if rss_per_point {
+            "peak_rss_kb is VmHWM reset via /proc/self/clear_refs before each point: \
+             the process peak RSS during that point"
+        } else {
+            "peak_rss_kb is VmHWM: process-wide, monotonic; \
+             points are swept in ascending K, dense arm first"
+        },
         arms = arms_json.join(",\n"),
     );
     match std::fs::write(OUT, &json) {
@@ -253,12 +263,33 @@ fn main() {
         SEED,
         arm_summaries.join(", "),
     );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open(HISTORY) {
-        Ok(mut f) => match f.write_all(line.as_bytes()) {
-            Ok(()) => eprintln!("# appended to {HISTORY}"),
-            Err(e) => eprintln!("# warning: could not append to {HISTORY}: {e}"),
-        },
-        Err(e) => eprintln!("# warning: could not open {HISTORY}: {e}"),
+    append_history(HISTORY, &line);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn peak_rss_reset_lets_vmhwm_fall() {
+        if !reset_peak_rss() {
+            return; // no clear_refs here: the probe reports the upper bound
+        }
+        let before = peak_rss_kb();
+        {
+            let mut block = vec![0u8; 64 << 20];
+            for page in block.chunks_mut(4096) {
+                page[0] = 1;
+            }
+            std::hint::black_box(&block);
+        }
+        let high = peak_rss_kb();
+        assert!(high >= before + 48 * 1024, "64 MiB never became resident: {before} -> {high} kB");
+        assert!(reset_peak_rss());
+        let after = peak_rss_kb();
+        assert!(
+            after + 32 * 1024 < high,
+            "VmHWM did not fall after the reset: {high} -> {after} kB"
+        );
     }
 }

@@ -4,6 +4,7 @@
 //! `results/telemetry/perf_probe_<alg>.jsonl`, and summarizes throughput
 //! into `BENCH_schedule_throughput.json` at the repo root.
 
+use pfrl_bench::{append_history, git_commit};
 use pfrl_core::experiment::{federation_manifest, run_federation_with_telemetry, Algorithm};
 use pfrl_core::fed::FedConfig;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
@@ -106,19 +107,8 @@ fn alg_json(r: &ProbeResult) -> String {
     )
 }
 
-/// Short hash of the checked-out commit, or `"unknown"` outside a git repo.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Appends one compact history line per probe run to [`HISTORY`].
-fn append_history(results: &[ProbeResult], manifest: &pfrl_core::telemetry::RunManifest) {
+/// The compact history line of one probe run, appended to [`HISTORY`].
+fn history_line(results: &[ProbeResult], manifest: &pfrl_core::telemetry::RunManifest) -> String {
     let algs: Vec<String> = results
         .iter()
         .map(|r| {
@@ -135,7 +125,7 @@ fn append_history(results: &[ProbeResult], manifest: &pfrl_core::telemetry::RunM
             )
         })
         .collect();
-    let line = format!(
+    format!(
         concat!(
             "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"config_hash\": \"{:016x}\", ",
             "\"scale\": \"{}\", \"seed\": {}, \"algorithms\": [{}]}}\n"
@@ -146,15 +136,7 @@ fn append_history(results: &[ProbeResult], manifest: &pfrl_core::telemetry::RunM
         manifest.scale,
         SEED,
         algs.join(", "),
-    );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open(HISTORY) {
-        Ok(mut f) => match f.write_all(line.as_bytes()) {
-            Ok(()) => eprintln!("# appended to {HISTORY}"),
-            Err(e) => eprintln!("# warning: could not append to {HISTORY}: {e}"),
-        },
-        Err(e) => eprintln!("# warning: could not open {HISTORY}: {e}"),
-    }
+    )
 }
 
 fn main() {
@@ -212,5 +194,5 @@ fn main() {
     if let Err(e) = manifest.write_next_to(OUT) {
         eprintln!("# warning: could not write manifest: {e}");
     }
-    append_history(&results, &manifest);
+    append_history(HISTORY, &history_line(&results, &manifest));
 }

@@ -9,6 +9,7 @@
 //! `BENCH_serve_latency.history.jsonl` — the same conventions as
 //! `perf_probe`'s throughput snapshot.
 
+use pfrl_bench::{append_history, git_commit};
 use pfrl_core::experiment::{federation_manifest, run_federation, Algorithm};
 use pfrl_core::fed::FedConfig;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
@@ -366,23 +367,12 @@ fn alg_json(r: &ProbeResult) -> String {
     )
 }
 
-/// Short hash of the checked-out commit, or `"unknown"` outside a git repo.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Appends one compact history line per probe run to [`HISTORY`].
-fn append_history(
+/// The compact history line of one probe run, appended to [`HISTORY`].
+fn history_line(
     results: &[ProbeResult],
     aggregate: Option<&AggregateResult>,
     manifest: &pfrl_core::telemetry::RunManifest,
-) {
+) -> String {
     let algs: Vec<String> = results
         .iter()
         .map(|r| {
@@ -412,7 +402,7 @@ fn append_history(
             a.shards, a.cpus, a.sessions, a.tier, a.dps, a.speedup,
         )
     });
-    let line = format!(
+    format!(
         concat!(
             "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"config_hash\": \"{:016x}\", ",
             "\"scale\": \"{}\", \"seed\": {}, \"algorithms\": [{}]{}}}\n"
@@ -424,15 +414,7 @@ fn append_history(
         SEED,
         algs.join(", "),
         agg,
-    );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open(HISTORY) {
-        Ok(mut f) => match f.write_all(line.as_bytes()) {
-            Ok(()) => eprintln!("# appended to {HISTORY}"),
-            Err(e) => eprintln!("# warning: could not append to {HISTORY}: {e}"),
-        },
-        Err(e) => eprintln!("# warning: could not open {HISTORY}: {e}"),
-    }
+    )
 }
 
 fn main() {
@@ -513,7 +495,7 @@ fn main() {
     if let Err(e) = manifest.write_next_to(OUT) {
         eprintln!("# warning: could not write manifest: {e}");
     }
-    append_history(&results, Some(&aggregate), &manifest);
+    append_history(HISTORY, &history_line(&results, Some(&aggregate), &manifest));
 
     // The CI smoke gate: the sharded fleet must clear a minimum aggregate
     // speedup over the committed single-shard baseline. Overridable for

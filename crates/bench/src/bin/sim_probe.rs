@@ -16,6 +16,7 @@
 //! reward; the `event` arm must clear a ≥ 10× events/sec speedup over
 //! `stepped_scan` on sparse traces, or the probe exits nonzero.
 
+use pfrl_bench::{append_history, git_commit};
 use pfrl_core::sim::{Action, CloudEnv, EnvConfig, EnvDims, TimeEngine, VmSpec};
 use pfrl_core::telemetry::RunManifest;
 use pfrl_core::workloads::{ArrivalStats, DatasetId, TaskSpec};
@@ -173,23 +174,12 @@ fn probe_dataset(dataset: DatasetId, samples: usize, reps: usize) -> DatasetResu
     DatasetResult { dataset, stats, arms: vec![scan, ff, event], speedup }
 }
 
-/// Short hash of the checked-out commit, or `"unknown"` outside a git repo.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn append_history(results: &[DatasetResult], min_speedup: f64, manifest: &RunManifest) {
+fn history_line(results: &[DatasetResult], min_speedup: f64, manifest: &RunManifest) -> String {
     let per_ds: Vec<String> = results
         .iter()
         .map(|r| format!("{{\"name\": \"{}\", \"speedup\": {:.1}}}", r.dataset.name(), r.speedup))
         .collect();
-    let line = format!(
+    format!(
         concat!(
             "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"config_hash\": \"{:016x}\", ",
             "\"scale\": \"{}\", \"seed\": {}, \"min_speedup\": {:.1}, \"datasets\": [{}]}}\n"
@@ -201,15 +191,7 @@ fn append_history(results: &[DatasetResult], min_speedup: f64, manifest: &RunMan
         SEED,
         min_speedup,
         per_ds.join(", "),
-    );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open(HISTORY) {
-        Ok(mut f) => match f.write_all(line.as_bytes()) {
-            Ok(()) => eprintln!("# appended to {HISTORY}"),
-            Err(e) => eprintln!("# warning: could not append to {HISTORY}: {e}"),
-        },
-        Err(e) => eprintln!("# warning: could not open {HISTORY}: {e}"),
-    }
+    )
 }
 
 fn main() {
@@ -292,7 +274,7 @@ fn main() {
     if let Err(e) = manifest.write_next_to(OUT) {
         eprintln!("# warning: could not write manifest: {e}");
     }
-    append_history(&results, min_speedup, &manifest);
+    append_history(HISTORY, &history_line(&results, min_speedup, &manifest));
 
     if min_speedup < MIN_SPEEDUP {
         eprintln!(

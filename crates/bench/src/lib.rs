@@ -132,6 +132,33 @@ fn manifest_for(csv_name: &str) -> RunManifest {
     m.with_config_of(&csv_name)
 }
 
+/// Short hash of the checked-out commit, or `"unknown"` outside a git repo.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Appends one JSON line to a probe's append-only history file at `path`
+/// (one line per run, keyed by [`git_commit`] so regressions can be
+/// bisected). A failed write is a warning, never fatal.
+pub fn append_history(path: &str, line: &str) {
+    use std::io::Write;
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| f.write_all(line.as_bytes()));
+    match appended {
+        Ok(()) => eprintln!("# appended to {path}"),
+        Err(e) => eprintln!("# warning: could not append to {path}: {e}"),
+    }
+}
+
 /// Prints a banner naming the experiment and scale, and returns the scale.
 pub fn start(experiment: &str, paper_ref: &str) -> Scale {
     let scale = Scale::from_env();
