@@ -38,7 +38,6 @@
 pub mod activation;
 pub mod adam;
 pub mod attention;
-pub mod checkpoint;
 pub mod linear;
 pub mod mlp;
 pub mod params;

@@ -408,35 +408,6 @@ impl PpoAgent {
         Some(critic_loss(&self.critic, &states, &returns))
     }
 
-    /// Saves actor + critic to a checkpoint file.
-    pub fn save_checkpoint(&self, path: &std::path::Path) -> std::io::Result<()> {
-        pfrl_nn::checkpoint::save(path, &[&self.actor, &self.critic])
-    }
-
-    /// Restores actor + critic from a checkpoint written by
-    /// [`Self::save_checkpoint`]; optimizer state is reset (momentum from a
-    /// different trajectory would be stale).
-    ///
-    /// Fails with `InvalidData` when the checkpoint's network shapes do not
-    /// match this agent's.
-    pub fn load_checkpoint(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        let nets = pfrl_nn::checkpoint::load(path)?;
-        let [actor, critic]: [Mlp; 2] = nets.try_into().map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "expected 2 networks")
-        })?;
-        if actor.sizes() != self.actor.sizes() || critic.sizes() != self.critic.sizes() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "checkpoint shapes do not match agent",
-            ));
-        }
-        self.actor = actor;
-        self.critic = critic;
-        self.actor_opt.reset_state();
-        self.critic_opt.reset_state();
-        Ok(())
-    }
-
     /// Captures the complete resumable training state.
     pub fn snapshot(&self) -> PpoAgentSnapshot {
         PpoAgentSnapshot {
@@ -607,29 +578,6 @@ mod tests {
             }
             assert!(agent.buffer.is_masked());
         }
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_restores_policy() {
-        let dir = std::env::temp_dir().join("pfrl_agent_ckpt");
-        let path = dir.join("ppo.ckpt");
-        let mut env = small_env();
-        let dims = *env.dims();
-        let mut a = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 4);
-        env.reset(DatasetId::K8s.model().sample(15, 1));
-        a.train_one_episode(&mut env);
-        a.save_checkpoint(&path).unwrap();
-
-        let mut b = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 99);
-        assert_ne!(a.actor_params(), b.actor_params());
-        b.load_checkpoint(&path).unwrap();
-        assert_eq!(a.actor_params(), b.actor_params());
-        assert_eq!(a.critic_params(), b.critic_params());
-
-        // Shape mismatch is rejected.
-        let mut small = PpoAgent::new(4, 3, PpoConfig::default(), 0);
-        assert!(small.load_checkpoint(&path).is_err());
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -342,38 +342,6 @@ impl DualCriticAgent {
         evaluate_greedy_opts(&mut self.actor, env, self.cfg.mask_invalid_actions, &mut self.scratch)
     }
 
-    /// Saves actor + both critics to a checkpoint file.
-    pub fn save_checkpoint(&self, path: &std::path::Path) -> std::io::Result<()> {
-        pfrl_nn::checkpoint::save(path, &[&self.actor, &self.local_critic, &self.public_critic])
-    }
-
-    /// Restores actor + both critics from a checkpoint written by
-    /// [`Self::save_checkpoint`]; optimizer state is reset and `α` is
-    /// re-derived on the next update.
-    pub fn load_checkpoint(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        let nets = pfrl_nn::checkpoint::load(path)?;
-        let [actor, local, public]: [Mlp; 3] = nets.try_into().map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "expected 3 networks")
-        })?;
-        if actor.sizes() != self.actor.sizes()
-            || local.sizes() != self.local_critic.sizes()
-            || public.sizes() != self.public_critic.sizes()
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "checkpoint shapes do not match agent",
-            ));
-        }
-        self.actor = actor;
-        self.local_critic = local;
-        self.public_critic = public;
-        self.actor_opt.reset_state();
-        self.local_opt.reset_state();
-        self.public_opt.reset_state();
-        self.refresh_alpha();
-        Ok(())
-    }
-
     /// Captures the complete resumable training state.
     pub fn snapshot(&self) -> DualAgentSnapshot {
         DualAgentSnapshot {
@@ -571,24 +539,6 @@ mod tests {
     #[should_panic(expected = "out of [0,1]")]
     fn bad_fixed_alpha_rejected() {
         agent(8).set_fixed_alpha(Some(1.5));
-    }
-
-    #[test]
-    fn dual_checkpoint_roundtrip() {
-        let dir = std::env::temp_dir().join("pfrl_dual_ckpt");
-        let path = dir.join("dual.ckpt");
-        let mut a = agent(11);
-        let mut env = small_env();
-        env.reset(DatasetId::K8s.model().sample(15, 2));
-        a.train_one_episode(&mut env);
-        a.save_checkpoint(&path).unwrap();
-
-        let mut b = agent(77);
-        b.load_checkpoint(&path).unwrap();
-        assert_eq!(a.actor.flat_params(), b.actor.flat_params());
-        assert_eq!(a.public_critic_params(), b.public_critic_params());
-        assert_eq!(a.local_critic.flat_params(), b.local_critic.flat_params());
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

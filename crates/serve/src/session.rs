@@ -1,11 +1,13 @@
-//! A stateful serving session: one cluster's environment mirror plus its
-//! pinned policy.
+//! A stateful serving session: one cluster's environment [`Mirror`] plus
+//! its pinned policy.
 //!
 //! The hot path is [`Session::decide`]: observe → actor forward → (mask) →
-//! argmax → env step. All per-decision tensors live in a thread-local
-//! scratch pool ([`scratch`]), so the steady-state path allocates nothing —
-//! the same discipline the training loop follows (see
-//! `tests/zero_alloc.rs` at the workspace root).
+//! argmax → env step. The sharded service keeps only the mirror per
+//! session and runs the forward once per plan; both paths observe and
+//! finish through the same [`Mirror`] methods. A session reuses its own
+//! per-decision buffers, so the steady-state path allocates nothing — the
+//! same discipline the training loop follows (see `tests/zero_alloc.rs` at
+//! the workspace root).
 
 use pfrl_fed::{FedError, PolicySnapshot};
 use pfrl_nn::{Activation, Mlp};
@@ -14,36 +16,6 @@ use pfrl_sim::{Action, CloudEnv, EpisodeMetrics};
 use pfrl_workloads::TaskSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// Thread-local pool of per-decision scratch buffers.
-///
-/// Sessions are plain data and can migrate between threads; the scratch
-/// they borrow is per-thread, checked out for the duration of one decision
-/// and returned afterwards. After the first decision on a thread the pool
-/// is warm and a checkout performs no allocation.
-pub(crate) mod scratch {
-    use std::cell::RefCell;
-
-    #[derive(Default)]
-    pub(crate) struct DecisionScratch {
-        pub state: Vec<f32>,
-        pub logits: Vec<f32>,
-        pub mask: Vec<bool>,
-    }
-
-    thread_local! {
-        static POOL: RefCell<Vec<DecisionScratch>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Runs `f` with a pooled scratch buffer. Re-entrant: a nested call
-    /// simply pops (or creates) another buffer.
-    pub(crate) fn with<R>(f: impl FnOnce(&mut DecisionScratch) -> R) -> R {
-        let mut s = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-        let r = f(&mut s);
-        POOL.with(|p| p.borrow_mut().push(s));
-        r
-    }
-}
 
 /// The outcome of one served scheduling decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,41 +34,32 @@ pub struct Decision {
     pub version: u64,
 }
 
-/// One cluster's serving session: an environment mirror plus the frozen
-/// greedy policy from a [`PolicySnapshot`].
-pub struct Session {
-    actor: Mlp,
+/// One session's environment mirror and identity, without any weights: the
+/// part of a serving session the sharded service keeps per session. Its
+/// policy lives in the shard's plan for the session's snapshot, whose
+/// batched forward supplies the logits the mirror turns into a decision.
+pub struct Mirror {
     env: CloudEnv,
     algorithm: String,
     client: String,
-    version: u64,
     mask_actions: bool,
     max_vms: usize,
     decisions: u64,
 }
 
-impl Session {
-    /// Instantiates the snapshot: rebuilds the actor network and the
-    /// environment mirror (dims, VM fleet, reward config) it was trained
-    /// against. The snapshot is re-validated, so a `Session` can never hold
-    /// a policy whose shape disagrees with its environment.
-    pub fn new(snapshot: &PolicySnapshot) -> Result<Self, FedError> {
-        snapshot.validate()?;
-        // The seed is irrelevant: every weight is overwritten immediately.
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut actor = Mlp::new(&snapshot.sizes(), Activation::Tanh, &mut rng);
-        actor.set_flat_params(&snapshot.actor_params);
-        let env = CloudEnv::new(snapshot.dims, snapshot.vms.clone(), snapshot.env_cfg);
-        Ok(Self {
-            actor,
-            env,
+impl Mirror {
+    /// Builds the environment mirror (dims, VM fleet, reward config) the
+    /// snapshot's policy was trained against. The snapshot must already be
+    /// validated.
+    pub(crate) fn new(snapshot: &PolicySnapshot) -> Self {
+        Self {
+            env: CloudEnv::new(snapshot.dims, snapshot.vms.clone(), snapshot.env_cfg),
             algorithm: snapshot.algorithm.clone(),
             client: snapshot.client.clone(),
-            version: snapshot.version,
             mask_actions: snapshot.mask_actions,
             max_vms: snapshot.dims.max_vms,
             decisions: 0,
-        })
+        }
     }
 
     /// Algorithm that trained the served policy.
@@ -107,11 +70,6 @@ impl Session {
     /// Client (cluster) this session serves.
     pub fn client(&self) -> &str {
         &self.client
-    }
-
-    /// Version of the pinned snapshot.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Decisions served over the session's lifetime.
@@ -135,23 +93,6 @@ impl Session {
         self.env.metrics()
     }
 
-    /// Serves one greedy scheduling decision. Steady-state this allocates
-    /// nothing: state, logits, and mask live in the thread-local scratch
-    /// pool and the actor forwards through its internal buffers.
-    ///
-    /// # Panics
-    ///
-    /// If the episode is already complete — callers gate on
-    /// [`Self::is_done`] (the batching service does this for you).
-    pub fn decide(&mut self) -> Decision {
-        assert!(!self.env.is_done(), "decide on a completed episode; call begin_episode");
-        scratch::with(|s| {
-            self.env.observe_into(&mut s.state);
-            self.actor.forward_one_into(&s.state, &mut s.logits);
-            self.finish_with_logits_in(&mut s.logits, &mut s.mask)
-        })
-    }
-
     /// Writes the current observation into `state`, one `state_dim` row
     /// (first half of a decision). The sharded service observes straight
     /// into a row of a wave's state matrix before running a single batched
@@ -161,14 +102,16 @@ impl Session {
     }
 
     /// Second half of a decision, given already-computed `logits` for the
-    /// current observation: mask → argmax → env step. `logits` is consumed
-    /// in place (masking overwrites it); `mask` is caller scratch. Exactly
-    /// the tail of [`Session::decide`], so a wave-batched decision is
-    /// bit-identical to a sequential one whenever the logits are.
-    pub(crate) fn finish_with_logits_in(
+    /// current observation of a policy at `version`: mask → argmax → env
+    /// step. `logits` is consumed in place (masking overwrites it); `mask`
+    /// is caller scratch. Both [`Session::decide`] and the sharded wave end
+    /// here, so a wave-batched decision is bit-identical to a sequential
+    /// one whenever the logits are.
+    pub(crate) fn finish(
         &mut self,
         logits: &mut [f32],
         mask: &mut Vec<bool>,
+        version: u64,
     ) -> Decision {
         if self.mask_actions {
             self.env.action_mask_into(mask);
@@ -177,21 +120,68 @@ impl Session {
         let action = policy::greedy_action(logits);
         let out = self.env.step(Action::from_index(action, self.max_vms));
         self.decisions += 1;
-        Decision {
-            action,
-            placed: out.placed,
-            reward: out.reward,
-            done: out.done,
-            version: self.version,
-        }
+        Decision { action, placed: out.placed, reward: out.reward, done: out.done, version }
+    }
+}
+
+/// Builds the actor network of a `sizes`-shaped policy holding `params`.
+pub(crate) fn build_actor(sizes: &[usize], params: &[f32]) -> Mlp {
+    // The seed is irrelevant: every weight is overwritten immediately.
+    let mut actor = Mlp::new(sizes, Activation::Tanh, &mut SmallRng::seed_from_u64(0));
+    actor.set_flat_params(params);
+    actor
+}
+
+/// One cluster's standalone serving session: an environment [`Mirror`]
+/// plus its own copy of the frozen greedy policy from a [`PolicySnapshot`].
+/// It derefs to the mirror for identity, episode control and metrics.
+///
+/// This is the reference path: the sharded service's wave decisions are
+/// checked against `Session::decide` bit for bit.
+pub struct Session {
+    mirror: Mirror,
+    actor: Mlp,
+    version: u64,
+    state: Vec<f32>,
+    logits: Vec<f32>,
+    mask: Vec<bool>,
+}
+
+impl Session {
+    /// Instantiates the snapshot: rebuilds the actor network and the
+    /// environment mirror it was trained against. The snapshot is
+    /// re-validated, so a `Session` can never hold a policy whose shape
+    /// disagrees with its environment.
+    pub fn new(snapshot: &PolicySnapshot) -> Result<Self, FedError> {
+        snapshot.validate()?;
+        Ok(Self {
+            mirror: Mirror::new(snapshot),
+            actor: build_actor(&snapshot.sizes(), &snapshot.actor_params),
+            version: snapshot.version,
+            state: vec![0.0; snapshot.dims.state_dim()],
+            logits: Vec::new(),
+            mask: Vec::new(),
+        })
     }
 
-    /// Swaps in new actor parameters at `version` — the commit step of a
-    /// hot-swap ramp. Parameters must already be validated (the ramp
-    /// rejects non-finite candidates before any session sees them).
-    pub(crate) fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.actor.set_flat_params(params);
-        self.version = version;
+    /// Version of the pinned snapshot.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Serves one greedy scheduling decision. Steady-state this allocates
+    /// nothing: state, logits, and mask are the session's own buffers and
+    /// the actor forwards through its internal ones.
+    ///
+    /// # Panics
+    ///
+    /// If the episode is already complete — callers gate on
+    /// [`Mirror::is_done`] (the sharded service does this for you).
+    pub fn decide(&mut self) -> Decision {
+        assert!(!self.is_done(), "decide on a completed episode; call begin_episode");
+        self.mirror.observe_into(&mut self.state);
+        self.actor.forward_one_into(&self.state, &mut self.logits);
+        self.mirror.finish(&mut self.logits, &mut self.mask, self.version)
     }
 
     /// Convenience: runs one full episode over `tasks` and returns its
@@ -200,7 +190,21 @@ impl Session {
     pub fn run_episode(&mut self, tasks: &[TaskSpec]) -> EpisodeMetrics {
         self.begin_episode(tasks);
         while !self.decide().done {}
-        self.env.metrics()
+        self.metrics()
+    }
+}
+
+impl std::ops::Deref for Session {
+    type Target = Mirror;
+
+    fn deref(&self) -> &Mirror {
+        &self.mirror
+    }
+}
+
+impl std::ops::DerefMut for Session {
+    fn deref_mut(&mut self) -> &mut Mirror {
+        &mut self.mirror
     }
 }
 

@@ -136,25 +136,3 @@ fn secure_aggregation_is_transparent_to_training() {
     let drift: f32 = pa.iter().zip(&pb).map(|(x, y)| (x - y).abs()).sum::<f32>() / pa.len() as f32;
     assert!(drift < 1e-2, "mean param drift {drift}");
 }
-
-#[test]
-fn masked_and_unmasked_agents_share_checkpoint_format() {
-    let dims = EnvDims::new(2, 8, 64.0, 3);
-    let dir = std::env::temp_dir().join("pfrl_ext_ckpt");
-    let path = dir.join("agent.ckpt");
-    let cfg = PpoConfig { mask_invalid_actions: true, ..Default::default() };
-    let mut masked = PpoAgent::new(dims.state_dim(), dims.action_dim(), cfg, 4);
-    let mut env = pfrl_sim::CloudEnv::new(
-        dims,
-        vec![VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)],
-        EnvConfig::default(),
-    );
-    env.reset(DatasetId::K8s.model().sample(15, 1));
-    masked.train_one_episode(&mut env);
-    masked.save_checkpoint(&path).unwrap();
-
-    let mut plain = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 9);
-    plain.load_checkpoint(&path).unwrap();
-    assert_eq!(plain.actor_params(), masked.actor_params());
-    let _ = std::fs::remove_dir_all(dir);
-}

@@ -9,8 +9,7 @@ use pfrl_core::fed::FedConfig;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::serve::{
-    Decision, DecisionService, PolicyStore, ServeConfig, ServeError, Session,
-    ShardedDecisionService, ShardedServeConfig,
+    Decision, PolicyStore, ServeError, Session, ShardedDecisionService, ShardedServeConfig,
 };
 use pfrl_core::sim::EnvConfig;
 use pfrl_core::workloads::{DatasetId, TaskSpec};
@@ -57,9 +56,9 @@ fn served_decisions_match_trained_agents_bit_for_bit() {
     }
 }
 
-/// The same fidelity holds through the batched front end: submitting and
-/// draining via `DecisionService` is just a scheduled way of calling the
-/// same session decide path.
+/// The same fidelity holds through the batched front end: submitting to a
+/// one-shard service and draining its waves is just a scheduled way of
+/// running the same decide path.
 #[test]
 fn batched_service_preserves_decision_fidelity() {
     let eval_tasks = DatasetId::K8s.model().sample(25, 41);
@@ -75,7 +74,10 @@ fn batched_service_preserves_decision_fidelity() {
     let name = trained.client_names()[0].clone();
 
     let store = PolicyStore::from_snapshots(trained.policy_snapshots()).unwrap();
-    let mut svc = DecisionService::new(store, ServeConfig { queue_capacity: 8, max_batch: 4 });
+    let svc = ShardedDecisionService::new(
+        store,
+        ShardedServeConfig { shards: 1, queue_capacity: 8, max_batch: 4 },
+    );
     let id = svc.open_session(&name).unwrap();
     svc.begin_episode(id, &eval_tasks).unwrap();
     'serve: loop {
@@ -86,13 +88,13 @@ fn batched_service_preserves_decision_fidelity() {
                 Err(e) => panic!("unexpected serve error: {e}"),
             }
         }
-        for (_, d) in svc.decide_batch() {
+        for (_, d) in svc.decide_wave(0) {
             if d.done {
                 break 'serve;
             }
         }
     }
-    let served = svc.session(id).unwrap().metrics();
+    let served = svc.metrics(id).unwrap();
     assert_eq!(served, expected, "batched serving diverged from trainer");
 }
 

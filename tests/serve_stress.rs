@@ -1,10 +1,10 @@
 //! Admission-control stress test for the serving front end.
 //!
-//! `DecisionService` is single-owner by design (callers serialize access),
-//! so the realistic deployment shape is a shared handle behind a lock with
-//! many request threads and a drain loop. This test drives that shape with
-//! deliberately bursty producers against a small bounded queue and checks
-//! the admission-control contract end to end:
+//! The sharded service is `Sync`, so the realistic deployment shape is one
+//! shared handle with many request threads and a drain loop. This test
+//! drives that shape on one shard with deliberately bursty producers
+//! against a small bounded queue and checks the admission-control
+//! contract end to end:
 //!
 //! - overload is an explicit, immediate [`ServeError::Overloaded`], never
 //!   unbounded buffering or a block;
@@ -20,8 +20,7 @@ use pfrl_core::nn::{Activation, Mlp};
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::serve::{
-    DecisionService, PolicyStore, RampStatus, ServeConfig, ServeError, ShardedDecisionService,
-    ShardedServeConfig,
+    PolicyStore, RampStatus, ServeError, ShardedDecisionService, ShardedServeConfig,
 };
 use pfrl_core::sim::{EnvConfig, EnvDims, VmSpec};
 use pfrl_core::telemetry::{InMemoryRecorder, Telemetry};
@@ -29,14 +28,14 @@ use pfrl_core::workloads::DatasetId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const PRODUCERS: usize = 8;
 const BURSTS_PER_PRODUCER: usize = 60;
 const BURST_SIZE: usize = 10;
 const QUEUE_CAPACITY: usize = 16;
 
-fn stress_service(recorder: Arc<InMemoryRecorder>) -> DecisionService {
+fn stress_service(recorder: Arc<InMemoryRecorder>) -> ShardedDecisionService {
     let (_, trained) = run_federation(
         Algorithm::PfrlDm,
         table2_clients(40, 5),
@@ -53,26 +52,25 @@ fn stress_service(recorder: Arc<InMemoryRecorder>) -> DecisionService {
         },
     );
     let store = PolicyStore::from_snapshots(trained.policy_snapshots()).expect("snapshots load");
-    DecisionService::new(store, ServeConfig { queue_capacity: QUEUE_CAPACITY, max_batch: 4 })
-        .with_telemetry(Telemetry::new(recorder))
+    ShardedDecisionService::new(
+        store,
+        ShardedServeConfig { shards: 1, queue_capacity: QUEUE_CAPACITY, max_batch: 4 },
+    )
+    .with_telemetry(Telemetry::new(recorder))
 }
 
 #[test]
 fn bursty_overload_rejects_explicitly_and_counters_balance() {
     let recorder = Arc::new(InMemoryRecorder::new());
-    let svc = Arc::new(Mutex::new(stress_service(recorder.clone())));
+    let svc = stress_service(recorder.clone());
 
     // One session per producer, each with a long episode so sessions stay
     // decidable for most of the run (completed episodes exercise the stale
     // path instead — both are legitimate fates for an admitted request).
-    let client = {
-        let svc = svc.lock().unwrap();
-        svc.store().clients()[0].to_string()
-    };
+    let client = svc.store().clients()[0].to_string();
     let tasks = DatasetId::Google.model().sample(200, 11);
     let mut session_ids = Vec::with_capacity(PRODUCERS);
     for _ in 0..PRODUCERS {
-        let mut svc = svc.lock().unwrap();
         let id = svc.open_session(&client).expect("open session");
         svc.begin_episode(id, &tasks).expect("begin episode");
         session_ids.push(id);
@@ -86,14 +84,13 @@ fn bursty_overload_rejects_explicitly_and_counters_balance() {
     std::thread::scope(|scope| {
         let mut producers = Vec::with_capacity(PRODUCERS);
         for &id in &session_ids {
-            let svc = Arc::clone(&svc);
+            let svc = &svc;
             let admitted = Arc::clone(&admitted);
             let rejected = Arc::clone(&rejected);
             producers.push(scope.spawn(move || {
                 for burst in 0..BURSTS_PER_PRODUCER {
-                    // A whole burst is fired under one lock hold — the
-                    // worst case for the queue, the point of the test.
-                    let mut svc = svc.lock().unwrap();
+                    // A whole burst is fired back to back, and a wave
+                    // serves each session once, so the queue overflows.
                     for _ in 0..BURST_SIZE {
                         match svc.submit(id) {
                             Ok(()) => {
@@ -106,7 +103,6 @@ fn bursty_overload_rejects_explicitly_and_counters_balance() {
                             Err(e) => panic!("unexpected serve error: {e}"),
                         }
                     }
-                    drop(svc);
                     if burst % 7 == 0 {
                         std::thread::yield_now();
                     }
@@ -116,15 +112,14 @@ fn bursty_overload_rejects_explicitly_and_counters_balance() {
 
         // Drain loop: keeps consuming while producers run, then empties
         // what is left so nothing is unaccounted for.
-        let drain_svc = Arc::clone(&svc);
+        let drain_svc = &svc;
         let drain_decided = Arc::clone(&decided);
         let drain_done = Arc::clone(&producers_done);
         let drainer = scope.spawn(move || loop {
             let outstanding = {
-                let mut svc = drain_svc.lock().unwrap();
-                let n = svc.decide_batch().len();
+                let n = drain_svc.decide_wave(0).len();
                 drain_decided.fetch_add(n as u64, Ordering::Relaxed);
-                n.max(svc.queue_depth())
+                n.max(drain_svc.queue_depth())
             };
             if outstanding == 0 {
                 if drain_done.load(Ordering::Acquire) {
@@ -159,7 +154,8 @@ fn bursty_overload_rejects_explicitly_and_counters_balance() {
     // Every admitted request was decided, dropped as stale (its episode
     // finished first), or is still queued — no request vanishes.
     let stale = snap.counter("serve/stale");
-    let queued = svc.lock().unwrap().queue_depth() as u64;
+    assert_eq!(svc.ledger().stale, stale, "stale counter diverges from the ledger");
+    let queued = svc.queue_depth() as u64;
     assert_eq!(
         decided + stale + queued,
         admitted,
