@@ -77,6 +77,11 @@ fn alg_json(r: &ProbeResult) -> String {
         .iter()
         .map(|p| format!("\"{p}\": {}", r.snap.span_total_ns(&format!("fed/round/{p}"))))
         .collect();
+    let update_spans = ["ppo_update", "ppo_update/actor", "ppo_update/critic", "alpha_refresh"];
+    let update_ns: Vec<String> = update_spans
+        .iter()
+        .map(|p| format!("\"{p}\": {}", r.snap.span_total_ns(&format!("rl/{p}"))))
+        .collect();
     format!(
         concat!(
             "    {{\n",
@@ -90,7 +95,8 @@ fn alg_json(r: &ProbeResult) -> String {
             "      \"bytes_up\": {bytes_up},\n",
             "      \"bytes_down\": {bytes_down},\n",
             "      \"round_ns\": {round_ns},\n",
-            "      \"phase_ns\": {{{phase_ns}}}\n",
+            "      \"phase_ns\": {{{phase_ns}}},\n",
+            "      \"rl_ns\": {{{update_ns}}}\n",
             "    }}"
         ),
         name = r.alg.name(),
@@ -104,6 +110,7 @@ fn alg_json(r: &ProbeResult) -> String {
         bytes_down = r.snap.counter("fed/bytes_down"),
         round_ns = r.snap.span_total_ns("fed/round"),
         phase_ns = phase_ns.join(", "),
+        update_ns = update_ns.join(", "),
     )
 }
 

@@ -102,21 +102,15 @@ impl Scale {
 struct RunContext {
     experiment: String,
     seed: Option<u64>,
-    algorithm: Option<String>,
 }
 
 static RUN_CONTEXT: Mutex<RunContext> =
-    Mutex::new(RunContext { experiment: String::new(), seed: None, algorithm: None });
+    Mutex::new(RunContext { experiment: String::new(), seed: None });
 
 /// Records the master seed the current binary derives its randomness from
 /// (shows up in every manifest written afterwards).
 pub fn set_run_seed(seed: u64) {
     RUN_CONTEXT.lock().unwrap().seed = Some(seed);
-}
-
-/// Records the algorithm under test, for single-algorithm binaries.
-pub fn set_run_algorithm(algorithm: &str) {
-    RUN_CONTEXT.lock().unwrap().algorithm = Some(algorithm.to_string());
 }
 
 fn manifest_for(csv_name: &str) -> RunManifest {
@@ -125,9 +119,6 @@ fn manifest_for(csv_name: &str) -> RunManifest {
         RunManifest::new(if ctx.experiment.is_empty() { csv_name } else { &ctx.experiment });
     if let Some(seed) = ctx.seed {
         m = m.with_seed(seed);
-    }
-    if let Some(alg) = &ctx.algorithm {
-        m = m.with_algorithm(alg);
     }
     m.with_config_of(&csv_name)
 }

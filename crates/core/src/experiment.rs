@@ -75,11 +75,6 @@ impl TrainedFederation {
         &*self.runner
     }
 
-    /// Mutable access to the trained runner.
-    pub fn runner_mut(&mut self) -> &mut dyn FederatedRunner {
-        &mut *self.runner
-    }
-
     /// The concrete runner, when algorithm-specific state is needed (e.g.
     /// PFRL-DM's attention weight history).
     pub fn downcast_ref<R: FederatedRunner + 'static>(&self) -> Option<&R> {

@@ -98,20 +98,13 @@ pub struct AttackPlan {
     pub fraction: f64,
     /// The upload model every coalition member follows.
     pub model: AttackModel,
-    /// First round the coalition attacks (earlier rounds are honest).
-    pub start_round: usize,
 }
 
 impl AttackPlan {
     /// The no-attack plan: every client is honest and no RNG is ever
     /// drawn, so runs are bit-identical to a runner without the layer.
     pub fn none() -> Self {
-        Self {
-            seed: 0,
-            fraction: 0.0,
-            model: AttackModel::SignFlip { lambda: 1.0 },
-            start_round: 0,
-        }
+        Self { seed: 0, fraction: 0.0, model: AttackModel::SignFlip { lambda: 1.0 } }
     }
 
     /// An inactive plan carrying a seed, for builder-style composition.
@@ -148,13 +141,7 @@ impl AttackPlan {
         self
     }
 
-    /// Builder: delays the campaign until `round`.
-    pub fn starting_at(mut self, round: usize) -> Self {
-        self.start_round = round;
-        self
-    }
-
-    /// Whether any client can ever attack.
+    /// Whether any client attacks: an active coalition attacks every round.
     pub fn is_active(&self) -> bool {
         self.fraction > 0.0
     }
@@ -198,14 +185,9 @@ impl AttackPlan {
         (0..n).filter(|&k| self.is_adversary(k)).count()
     }
 
-    /// Whether the coalition attacks at `round` (campaign has started).
-    pub fn fires_at(&self, round: usize) -> bool {
-        self.is_active() && round >= self.start_round
-    }
-
     /// Replaces `streams` (the honest upload) with the crafted adversarial
     /// upload for `(round, client)`. The caller must have checked
-    /// [`Self::is_adversary`] and [`Self::fires_at`]; this method is pure
+    /// [`Self::is_adversary`] and [`Self::is_active`]; this method is pure
     /// and in-place, so pooled arena buffers are reused without fresh
     /// allocation at steady state.
     pub fn poison(&self, round: usize, client: usize, streams: &mut [Vec<f32>]) {
@@ -250,8 +232,7 @@ impl AttackPlan {
                 }
             }
             AttackModel::StealthScale { rate } => {
-                let t = (round - self.start_round) as i32;
-                let scale = (1.0 + rate).powi(t + 1);
+                let scale = (1.0 + rate).powi(round as i32 + 1);
                 for s in streams.iter_mut() {
                     for v in s.iter_mut() {
                         *v *= scale;
@@ -295,7 +276,6 @@ mod tests {
     fn none_plan_is_inactive_and_has_no_adversaries() {
         let p = AttackPlan::none();
         assert!(!p.is_active());
-        assert!(!p.fires_at(0));
         assert_eq!(p.coalition_size(64), 0);
     }
 

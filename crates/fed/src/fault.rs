@@ -608,7 +608,7 @@ impl FaultState {
             }
         }
         self.enrolled = enrolled;
-        if self.attack.fires_at(round) {
+        if self.attack.is_active() {
             let coalition =
                 (0..n).filter(|&i| self.adversary[i] && self.churn.enrolled(round, i)).count();
             self.telemetry.gauge("fed/attack_coalition_size", coalition as f64);
@@ -650,7 +650,7 @@ impl FaultState {
         // then act on the crafted upload like on any honest one. (A stale
         // delivery below substitutes a history entry that was itself
         // poisoned when first accepted, so no double application.)
-        if self.attack.fires_at(round) && self.adversary[client] {
+        if self.attack.is_active() && self.adversary[client] {
             self.attack.poison(round, client, &mut streams);
             self.telemetry.counter("fed/attacked_uploads", 1);
         }

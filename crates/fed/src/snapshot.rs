@@ -54,10 +54,16 @@ impl PolicySnapshot {
         [self.dims.state_dim(), self.hidden, self.dims.action_dim()]
     }
 
-    /// Parameter count implied by [`Self::sizes`] (dense layers + biases).
-    pub fn param_count(&self) -> usize {
-        let s = self.sizes();
-        s.windows(2).map(|w| (w[0] + 1) * w[1]).sum()
+    /// [`Self::sizes`] and the parameter count they imply (dense layers +
+    /// biases), derived with checked arithmetic so [`Self::validate`] can
+    /// run on untrusted input: `None` if any of them overflows `usize`.
+    fn checked_shape(&self) -> Option<([usize; 3], usize)> {
+        let d = &self.dims;
+        let sizes = [d.checked_state_dim()?, self.hidden, d.max_vms.checked_add(1)?];
+        let count = sizes
+            .windows(2)
+            .try_fold(0usize, |n, w| n.checked_add(w[0].checked_add(1)?.checked_mul(w[1])?))?;
+        Some((sizes, count))
     }
 
     /// Structural validation: every check needed so that building an actor
@@ -101,12 +107,16 @@ impl PolicySnapshot {
         if self.hidden == 0 {
             return fail("zero hidden width".into());
         }
-        if self.actor_params.len() != self.param_count() {
+        let Some((sizes, count)) = self.checked_shape() else {
             return fail(format!(
-                "{} actor params but shape {:?} needs {}",
-                self.actor_params.len(),
-                self.sizes(),
-                self.param_count()
+                "actor shape overflows usize: dims {d:?}, hidden {}",
+                self.hidden
+            ));
+        };
+        if self.actor_params.len() != count {
+            return fail(format!(
+                "{} actor params but shape {sizes:?} needs {count}",
+                self.actor_params.len()
             ));
         }
         if self.actor_params.iter().any(|p| !p.is_finite()) {
@@ -261,6 +271,6 @@ mod tests {
     fn param_count_matches_mlp_shape() {
         let s = snapshot();
         assert_eq!(s.sizes(), [s.dims.state_dim(), 4, s.dims.action_dim()]);
-        assert_eq!(s.param_count(), s.actor_params.len());
+        assert_eq!(s.checked_shape(), Some((s.sizes(), s.actor_params.len())));
     }
 }

@@ -18,16 +18,21 @@ pub struct AdamState {
     pub t: u64,
 }
 
-/// Adam state for a fixed-size parameter vector.
+/// First-moment decay β₁ (PyTorch default).
+const BETA1: f32 = 0.9;
+/// Second-moment decay β₂ (PyTorch default).
+const BETA2: f32 = 0.999;
+/// Denominator guard ε (PyTorch default).
+const EPS: f32 = 1e-8;
+
+/// Adam state for a fixed-size parameter vector, with PyTorch-default betas
+/// `(0.9, 0.999)` and `eps 1e-8`.
 ///
 /// The paper trains the actor at learning rate `3e-4` and critics at `1e-4`
 /// (Sec. 3.1); these are constructor arguments here.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     /// Optional global-norm gradient clipping (disabled when `None`).
     pub max_grad_norm: Option<f32>,
     m: Vec<f32>,
@@ -42,13 +47,10 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates Adam with PyTorch-default betas `(0.9, 0.999)` and `eps 1e-8`.
+    /// Creates Adam at learning rate `lr`, clipping gradients to norm 5.
     pub fn new(param_count: usize, lr: f32) -> Self {
         Self {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             max_grad_norm: Some(5.0),
             m: vec![0.0; param_count],
             v: vec![0.0; param_count],
@@ -57,13 +59,6 @@ impl Adam {
             flat_p: Vec::new(),
             flat_g: Vec::new(),
         }
-    }
-
-    /// Builder-style override of the momentum coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// Builder-style override of the gradient-norm clip (None disables).
@@ -75,11 +70,6 @@ impl Adam {
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Sets the learning rate (for schedules / ablations).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     /// Number of steps taken so far.
@@ -132,15 +122,15 @@ impl Adam {
             grads
         };
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
             let mhat = self.m[i] / b1t;
             let vhat = self.v[i] / b2t;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            params[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
         }
         debug_assert!(
             validate_params(params).is_ok(),

@@ -6,13 +6,13 @@ use rand::Rng;
 /// A dense layer `y = x · W + b` with `W: in×out`, `b: out`.
 ///
 /// `forward_train` caches the input so a subsequent [`Linear::backward`] can
-/// compute `dW = xᵀ · dy`, `db = Σ_rows dy`, and `dx = dy · Wᵀ`. Gradients
-/// accumulate across calls until [`Linear::zero_grad`].
+/// compute `dW = xᵀ · dy`, `db = Σ_rows dy`, and, when asked for, `dx = dy ·
+/// Wᵀ`. Gradients accumulate across calls until [`Linear::zero_grad`].
 ///
-/// The `_into` variants reuse caller-owned output buffers plus two private
-/// scratch matrices, so a layer cycled through same-shaped batches stops
-/// allocating after the first pass. The allocating methods are wrappers
-/// over them — both forms produce bitwise-identical results.
+/// The `_into` forwards and the backward reuse caller-owned output buffers
+/// plus two private scratch matrices, so a layer cycled through same-shaped
+/// batches stops allocating after the first pass. The allocating forwards
+/// are wrappers over them — both forms produce bitwise-identical results.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix, `in_dim × out_dim`.
@@ -108,21 +108,16 @@ impl Linear {
         self.forward_into(x, out);
     }
 
-    /// Backward pass: accumulates `dw`/`db` and returns `dx`.
+    /// Backward pass: accumulates `dw`/`db`, and writes `dx = dy · Wᵀ` into
+    /// `dx` when one is given. The input layer of a network passes `None`:
+    /// states are not learned, so nothing reads its input gradient. The
+    /// per-call `xᵀ·dy` product lands in a scratch matrix and is then
+    /// accumulated into `dw` — folding it directly into `dw` would change
+    /// the addition order and thus the low bits.
     ///
     /// # Panics
     /// If called without a preceding [`Linear::forward_train`].
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(dy, &mut dx);
-        dx
-    }
-
-    /// [`Linear::backward`] writing `dx` into a reusable buffer. The
-    /// per-call `xᵀ·dy` product still lands in a scratch matrix and is then
-    /// accumulated into `dw` — folding it directly into `dw` would change
-    /// the addition order and thus the low bits.
-    pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
+    pub fn backward(&mut self, dy: &Matrix, dx: Option<&mut Matrix>) {
         let Linear { w, dw, db, cached_input, dw_scratch, wt_scratch, .. } = self;
         let x = cached_input.as_ref().expect("Linear::backward called without forward_train");
         assert_eq!(dy.rows(), x.rows(), "backward batch size mismatch");
@@ -135,7 +130,9 @@ impl Linear {
             ops::axpy(1.0, dy.row(r), db);
         }
         // dx = dy · Wᵀ
-        ops::matmul_transpose_b_into(dy, w, dx, wt_scratch);
+        if let Some(dx) = dx {
+            ops::matmul_transpose_b_into(dy, w, dx, wt_scratch);
+        }
     }
 
     /// Clears accumulated gradients (keeps the cached input).
@@ -194,7 +191,8 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
         let _ = l.forward_train(&x);
         let dy = Matrix::from_rows(&[&[1.0, 0.0, -1.0]]);
-        let dx = l.backward(&dy);
+        let mut dx = Matrix::zeros(0, 0);
+        l.backward(&dy, Some(&mut dx));
         // dW = xᵀ · dy
         assert_eq!(l.dw, Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[2.0, 0.0, -2.0]]));
         assert_eq!(l.db, vec![1.0, 0.0, -1.0]);
@@ -208,9 +206,9 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0, 0.0]]);
         let dy = Matrix::from_rows(&[&[1.0, 1.0, 1.0]]);
         let _ = l.forward_train(&x);
-        let _ = l.backward(&dy);
+        l.backward(&dy, None);
         let _ = l.forward_train(&x);
-        let _ = l.backward(&dy);
+        l.backward(&dy, None);
         assert_eq!(l.db, vec![2.0, 2.0, 2.0]);
         l.zero_grad();
         assert_eq!(l.db, vec![0.0, 0.0, 0.0]);
@@ -222,7 +220,7 @@ mod tests {
     fn backward_requires_forward_train() {
         let mut l = fixed_layer();
         let dy = Matrix::zeros(1, 3);
-        let _ = l.backward(&dy);
+        l.backward(&dy, None);
     }
 
     #[test]

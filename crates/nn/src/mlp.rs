@@ -8,15 +8,16 @@ use rand::Rng;
 /// output layer, as required for both value heads and policy logits).
 ///
 /// Training protocol: `forward_train` caches per-layer activations, then
-/// `backward` accumulates gradients, then an optimizer consumes
+/// `backward` accumulates parameter gradients, then an optimizer consumes
 /// `flat_grads()` / mutates via `set_flat_params`.
 ///
-/// The `_into` methods take `&mut self` and route all intermediate tensors
-/// through a private workspace (two ping-pong matrices for batch
-/// activations/gradients, two row vectors for single-state inference), so
-/// steady-state training and inference stop allocating after the first
-/// same-shaped call. The classic `&self` methods stay as allocating
-/// wrappers for cold paths; both produce bitwise-identical results.
+/// The `_into` methods and `backward` take `&mut self` and route all
+/// intermediate tensors through a private workspace (two ping-pong matrices
+/// for batch activations/gradients, two row vectors for single-state
+/// inference), so steady-state training and inference stop allocating after
+/// the first same-shaped call. The classic `&self` methods stay as
+/// allocating wrappers for cold paths; both produce bitwise-identical
+/// results.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
@@ -169,37 +170,24 @@ impl Mlp {
         }
     }
 
-    /// Backward pass from the gradient of the loss w.r.t. the network output.
-    /// Accumulates gradients into every layer and returns the gradient
-    /// w.r.t. the input batch.
+    /// Backward pass from the gradient of the loss w.r.t. the network output:
+    /// accumulates parameter gradients into every layer. Inter-layer
+    /// gradients ping-pong through the internal workspace (which is free
+    /// during the backward pass); the input layer skips its `dy · W₀ᵀ`
+    /// product, because nothing reads the gradient w.r.t. the input batch.
     ///
     /// # Panics
     /// If no `forward_train` preceded it.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(d_out, &mut dx);
-        dx
-    }
-
-    /// [`Mlp::backward`] writing the input gradient into a reusable buffer;
-    /// inter-layer gradients ping-pong through the internal workspace
-    /// (which is free during the backward pass).
-    pub fn backward_into(&mut self, d_out: &Matrix, dx: &mut Matrix) {
+    pub fn backward(&mut self, d_out: &Matrix) {
         let last = self.layers.len() - 1;
         let Mlp { layers, activation, hidden_outputs, ws_a, ws_b, .. } = self;
-        if last == 0 {
-            layers[0].backward_into(d_out, dx);
-            return;
-        }
-        layers[last].backward_into(d_out, ws_a);
-        for i in (0..last).rev() {
-            activation.backward_inplace(&hidden_outputs[i], ws_a);
-            if i == 0 {
-                layers[0].backward_into(ws_a, dx);
-            } else {
-                layers[i].backward_into(ws_a, ws_b);
-                std::mem::swap(ws_a, ws_b);
+        for i in (0..=last).rev() {
+            if i != last {
+                activation.backward_inplace(&hidden_outputs[i], ws_a);
             }
+            let dy = if i == last { d_out } else { &*ws_a };
+            layers[i].backward(dy, (i > 0).then_some(&mut *ws_b));
+            std::mem::swap(ws_a, ws_b);
         }
     }
 
@@ -362,31 +350,6 @@ mod tests {
                 analytic[idx],
                 fd
             );
-        }
-    }
-
-    #[test]
-    fn input_gradient_matches_finite_differences() {
-        let mut net = mlp(&[3, 4, 1], 11);
-        let x0 = [0.2f32, -0.4, 0.6];
-        let loss = |net: &Mlp, x: &[f32]| net.forward_one(x)[0];
-
-        let out = net.forward_train(&Matrix::from_vec(1, 3, x0.to_vec()));
-        net.zero_grad();
-        let mut ones = Matrix::filled(1, 1, 1.0);
-        ones[(0, 0)] = 1.0;
-        let dx = net.backward(&ones);
-        let _ = out;
-
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut xp = x0;
-            xp[i] += eps;
-            let plus = loss(&net, &xp);
-            xp[i] -= 2.0 * eps;
-            let minus = loss(&net, &xp);
-            let fd = (plus - minus) / (2.0 * eps);
-            assert!((dx[(0, i)] - fd).abs() < 1e-2, "input {i}: {} vs {}", dx[(0, i)], fd);
         }
     }
 

@@ -43,14 +43,13 @@ pub(crate) struct AgentScratch {
 }
 
 /// Per-epoch intermediates of [`actor_update`] / [`critic_update`]:
-/// network outputs, the loss gradient, and the input-gradient sink.
+/// network outputs and the loss gradient.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EpochScratch {
     pub(crate) policy: PolicyScratch,
     pub(crate) logit_mat: Matrix,
     pub(crate) value_mat: Matrix,
     pub(crate) grad: Matrix,
-    pub(crate) dx: Matrix,
 }
 
 /// Runs one episode with `actor`, filling `buffer`; returns the total
@@ -117,8 +116,8 @@ pub(crate) fn evaluate_greedy_opts<E: SchedulingEnv + ?Sized>(
 
 /// One clipped-surrogate policy update (all epochs) on a prepared batch.
 /// `masks` (flattened `n × action_dim`) must be the masks the rollout was
-/// collected under, or `None` for unmasked rollouts. The per-epoch logits,
-/// gradient, and input-gradient sink all live in `scratch`.
+/// collected under, or `None` for unmasked rollouts. The per-epoch logits
+/// and gradient live in `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn actor_update(
     actor: &mut Mlp,
@@ -132,7 +131,7 @@ pub(crate) fn actor_update(
     scratch: &mut EpochScratch,
 ) -> PpoLossStats {
     let mut last = PpoLossStats { surrogate: 0.0, entropy: 0.0, clip_fraction: 0.0 };
-    let EpochScratch { policy, logit_mat, grad, dx, .. } = scratch;
+    let EpochScratch { policy, logit_mat, grad, .. } = scratch;
     for _ in 0..cfg.update_epochs {
         actor.forward_train_into(states, logit_mat);
         let stats = policy::clipped_surrogate_grad_masked_into(
@@ -147,7 +146,7 @@ pub(crate) fn actor_update(
             policy,
         );
         actor.zero_grad();
-        actor.backward_into(grad, dx);
+        actor.backward(grad);
         opt.step_mlp(actor);
         last = stats;
     }
@@ -167,7 +166,7 @@ pub(crate) fn critic_update(
 ) -> f32 {
     let n = states.rows();
     let mut first_loss = 0.0f32;
-    let EpochScratch { value_mat, grad, dx, .. } = scratch;
+    let EpochScratch { value_mat, grad, .. } = scratch;
     for epoch in 0..epochs {
         critic.forward_train_into(states, value_mat);
         grad.resize(n, 1);
@@ -182,7 +181,7 @@ pub(crate) fn critic_update(
             first_loss = loss;
         }
         critic.zero_grad();
-        critic.backward_into(grad, dx);
+        critic.backward(grad);
         opt.step_mlp(critic);
     }
     first_loss
@@ -334,25 +333,31 @@ impl PpoAgent {
         // Actor first, as in the paper's Algorithm 1. The advantages were
         // frozen from the pre-update value estimates, so the two passes
         // commute bit-for-bit (pinned by `actor_and_critic_passes_commute`).
-        let actor_stats = actor_update(
-            &mut self.actor,
-            &mut self.actor_opt,
-            &self.scratch.states,
-            self.buffer.actions(),
-            self.buffer.old_log_probs(),
-            &self.scratch.advantages,
-            self.buffer.masks_flat(),
-            &self.cfg,
-            &mut self.scratch.epoch,
-        );
-        let critic_mse = critic_update(
-            &mut self.critic,
-            &mut self.critic_opt,
-            &self.scratch.states,
-            &self.scratch.returns,
-            self.cfg.critic_epochs,
-            &mut self.scratch.epoch,
-        );
+        let actor_stats = {
+            let _actor = self.telemetry.span("rl/ppo_update/actor");
+            actor_update(
+                &mut self.actor,
+                &mut self.actor_opt,
+                &self.scratch.states,
+                self.buffer.actions(),
+                self.buffer.old_log_probs(),
+                &self.scratch.advantages,
+                self.buffer.masks_flat(),
+                &self.cfg,
+                &mut self.scratch.epoch,
+            )
+        };
+        let critic_mse = {
+            let _critic = self.telemetry.span("rl/ppo_update/critic");
+            critic_update(
+                &mut self.critic,
+                &mut self.critic_opt,
+                &self.scratch.states,
+                &self.scratch.returns,
+                self.cfg.critic_epochs,
+                &mut self.scratch.epoch,
+            )
+        };
         drop(span);
         self.telemetry.observe("rl/actor_surrogate", actor_stats.surrogate as f64);
         self.telemetry.observe("rl/actor_entropy", actor_stats.entropy as f64);

@@ -217,25 +217,31 @@ impl DualCriticAgent {
         // bit-for-bit (pinned by `actor_and_critic_passes_commute`); both
         // value functions regress on the same returns (Eqs. 16–17), and the
         // α refresh stays last.
-        let actor_stats = actor_update(
-            &mut self.actor,
-            &mut self.actor_opt,
-            &self.scratch.states,
-            self.buffer.actions(),
-            self.buffer.old_log_probs(),
-            &self.scratch.advantages,
-            self.buffer.masks_flat(),
-            &self.cfg,
-            &mut self.scratch.epoch,
-        );
-        let (local_mse, public_mse) = dual_critic_pass(
-            &mut self.local_critic,
-            &mut self.local_opt,
-            &mut self.public_critic,
-            &mut self.public_opt,
-            &mut self.scratch,
-            self.cfg.critic_epochs,
-        );
+        let actor_stats = {
+            let _actor = self.telemetry.span("rl/ppo_update/actor");
+            actor_update(
+                &mut self.actor,
+                &mut self.actor_opt,
+                &self.scratch.states,
+                self.buffer.actions(),
+                self.buffer.old_log_probs(),
+                &self.scratch.advantages,
+                self.buffer.masks_flat(),
+                &self.cfg,
+                &mut self.scratch.epoch,
+            )
+        };
+        let (local_mse, public_mse) = {
+            let _critic = self.telemetry.span("rl/ppo_update/critic");
+            dual_critic_pass(
+                &mut self.local_critic,
+                &mut self.local_opt,
+                &mut self.public_critic,
+                &mut self.public_opt,
+                &mut self.scratch,
+                self.cfg.critic_epochs,
+            )
+        };
         drop(span);
         self.telemetry.observe("rl/actor_surrogate", actor_stats.surrogate as f64);
         self.telemetry.observe("rl/actor_entropy", actor_stats.entropy as f64);
@@ -247,6 +253,7 @@ impl DualCriticAgent {
         // states/returns are value-identical to re-deriving them from the
         // buffer, so α is bit-for-bit the same.
         if self.fixed_alpha.is_none() {
+            let _refresh = self.telemetry.span("rl/alpha_refresh");
             let l_local = critic_loss_into(
                 &mut self.local_critic,
                 &self.scratch.states,

@@ -30,10 +30,20 @@ impl EnvDims {
 
     /// Flattened state vector length:
     /// `L·d` (remaining capacity) + `L·U` (vCPU progress) + `Q·d` (queue).
+    ///
+    /// # Panics
+    /// If the length overflows `usize` (see [`EnvDims::checked_state_dim`]).
     pub fn state_dim(&self) -> usize {
-        self.max_vms * RESOURCE_DIMS
-            + self.max_vms * self.max_vcpus as usize
-            + self.queue_slots * RESOURCE_DIMS
+        self.checked_state_dim().expect("EnvDims::state_dim overflows usize")
+    }
+
+    /// [`EnvDims::state_dim`], or `None` if it overflows `usize` — for dims
+    /// decoded from untrusted bytes.
+    pub fn checked_state_dim(&self) -> Option<usize> {
+        let capacity = self.max_vms.checked_mul(RESOURCE_DIMS)?;
+        let progress = self.max_vms.checked_mul(self.max_vcpus as usize)?;
+        let queue = self.queue_slots.checked_mul(RESOURCE_DIMS)?;
+        capacity.checked_add(progress)?.checked_add(queue)
     }
 
     /// Action count: one per VM slot plus the wait action (`-1` in Eq. (2)).
@@ -106,6 +116,9 @@ mod tests {
         let d = EnvDims::new(8, 64, 512.0, 5);
         assert_eq!(d.state_dim(), 8 * 2 + 8 * 64 + 5 * 2);
         assert_eq!(d.action_dim(), 9);
+        assert_eq!(d.checked_state_dim(), Some(d.state_dim()));
+        let huge = EnvDims { max_vms: usize::MAX / 2, ..d };
+        assert_eq!(huge.checked_state_dim(), None);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl EmpiricalCdf {
             })
             .collect()
     }
-
-    /// The underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

@@ -489,13 +489,6 @@ pub fn std_dev(x: &[f32]) -> f32 {
     (x.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / x.len() as f32).sqrt()
 }
 
-/// Clips every element of `x` into `[lo, hi]`.
-pub fn clamp_slice(x: &mut [f32], lo: f32, hi: f32) {
-    for v in x {
-        *v = v.clamp(lo, hi);
-    }
-}
-
 /// Rescales `x` so its L2 norm is at most `max_norm` (global-norm gradient
 /// clipping). Returns the pre-clip norm.
 pub fn clip_l2_norm(x: &mut [f32], max_norm: f32) -> f32 {

@@ -169,6 +169,19 @@ fn corrupted_fixtures_are_rejected() {
         PolicySnapshot::from_bytes(&policy[..policy.len() - 3]).is_err(),
         "truncation accepted"
     );
+
+    // Crafted widths whose parameter count overflows `usize` decode to an
+    // error instead of a multiply-overflow panic (or, in release, a wrapped
+    // count).
+    let golden = PolicySnapshot::from_bytes(&policy).unwrap();
+    let mut wide_dims = golden.clone();
+    wide_dims.dims.max_vms = usize::MAX / 2;
+    let mut wide_hidden = golden;
+    wide_hidden.hidden = usize::MAX / 3;
+    for crafted in [wide_dims, wide_hidden] {
+        let err = PolicySnapshot::from_bytes(&crafted.to_bytes()).expect_err("overflow accepted");
+        assert!(matches!(err, FedError::Snapshot(_)), "{err:?}");
+    }
 }
 
 /// A checkpoint restored into a federation with a different network shape
