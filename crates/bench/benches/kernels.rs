@@ -34,13 +34,13 @@ fn bench_matmul_variants(c: &mut Criterion) {
             });
         });
 
-        // aᵀ-form: gradients w.r.t. weights (`xᵀ · dy`).
-        let at = a.transposed();
-        group.bench_function(BenchmarkId::new("transpose_a_into", batch), |bench| {
-            let mut out = Matrix::default();
-            ops::matmul_transpose_a_into(&at, &a, &mut out);
+        // Weight gradient as `Linear` runs it (`dW = xᵀ · dy`, x and dy both
+        // `batch × 64`): transpose the input, then the dispatched GEMM.
+        group.bench_function(BenchmarkId::new("dw_into", batch), |bench| {
+            let (mut xt, mut out) = (Matrix::default(), Matrix::default());
             bench.iter(|| {
-                ops::matmul_transpose_a_into(black_box(&at), black_box(&a), &mut out);
+                ops::transpose_into(black_box(&a), &mut xt);
+                ops::matmul_into(&xt, black_box(&a), &mut out);
                 black_box(out.as_slice()[0])
             });
         });

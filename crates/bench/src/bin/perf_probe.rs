@@ -77,7 +77,8 @@ fn alg_json(r: &ProbeResult) -> String {
         .iter()
         .map(|p| format!("\"{p}\": {}", r.snap.span_total_ns(&format!("fed/round/{p}"))))
         .collect();
-    let update_spans = ["ppo_update", "ppo_update/actor", "ppo_update/critic", "alpha_refresh"];
+    let update_spans =
+        ["rollout", "ppo_update", "ppo_update/actor", "ppo_update/critic", "alpha_refresh"];
     let update_ns: Vec<String> = update_spans
         .iter()
         .map(|p| format!("\"{p}\": {}", r.snap.span_total_ns(&format!("rl/{p}"))))

@@ -5,9 +5,11 @@ use rand::Rng;
 
 /// A dense layer `y = x · W + b` with `W: in×out`, `b: out`.
 ///
-/// `forward_train` caches the input so a subsequent [`Linear::backward`] can
-/// compute `dW = xᵀ · dy`, `db = Σ_rows dy`, and, when asked for, `dx = dy ·
-/// Wᵀ`. Gradients accumulate across calls until [`Linear::zero_grad`].
+/// `forward_train` caches the input, stored transposed, so a subsequent
+/// [`Linear::backward`] can compute `dW = xᵀ · dy` on the dispatched GEMM
+/// ([`ops::matmul_into`], AVX2 where available, bit-identical to the scalar
+/// reference), `db = Σ_rows dy`, and, when asked for, `dx = dy · Wᵀ`.
+/// Gradients accumulate across calls until [`Linear::zero_grad`].
 ///
 /// The `_into` forwards and the backward reuse caller-owned output buffers
 /// plus two private scratch matrices, so a layer cycled through same-shaped
@@ -23,6 +25,7 @@ pub struct Linear {
     pub dw: Matrix,
     /// Accumulated bias gradient, same length as `b`.
     pub db: Vec<f32>,
+    /// `xᵀ` of the last `forward_train` input (`in_dim × batch`).
     cached_input: Option<Matrix>,
     /// Scratch for the per-call `xᵀ·dy` before accumulation into `dw`.
     dw_scratch: Matrix,
@@ -99,31 +102,29 @@ impl Linear {
     }
 
     /// [`Linear::forward_train`] into a reusable buffer; the cached input
-    /// is copied into a retained allocation instead of freshly cloned.
+    /// is transposed into a retained allocation instead of freshly cloned.
     pub fn forward_train_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        match &mut self.cached_input {
-            Some(c) => c.copy_from(x),
-            None => self.cached_input = Some(x.clone()),
-        }
+        ops::transpose_into(x, self.cached_input.get_or_insert_with(Matrix::default));
         self.forward_into(x, out);
     }
 
     /// Backward pass: accumulates `dw`/`db`, and writes `dx = dy · Wᵀ` into
     /// `dx` when one is given. The input layer of a network passes `None`:
     /// states are not learned, so nothing reads its input gradient. The
-    /// per-call `xᵀ·dy` product lands in a scratch matrix and is then
-    /// accumulated into `dw` — folding it directly into `dw` would change
-    /// the addition order and thus the low bits.
+    /// per-call `xᵀ·dy` product (cached `xᵀ` times `dy` on the dispatched
+    /// GEMM) lands in a scratch matrix and is then accumulated into `dw` —
+    /// folding it directly into `dw` would change the addition order and
+    /// thus the low bits.
     ///
     /// # Panics
     /// If called without a preceding [`Linear::forward_train`].
     pub fn backward(&mut self, dy: &Matrix, dx: Option<&mut Matrix>) {
         let Linear { w, dw, db, cached_input, dw_scratch, wt_scratch, .. } = self;
-        let x = cached_input.as_ref().expect("Linear::backward called without forward_train");
-        assert_eq!(dy.rows(), x.rows(), "backward batch size mismatch");
+        let xt = cached_input.as_ref().expect("Linear::backward called without forward_train");
+        assert_eq!(dy.rows(), xt.cols(), "backward batch size mismatch");
         assert_eq!(dy.cols(), w.cols(), "backward output dim mismatch");
         // dW += xᵀ · dy
-        ops::matmul_transpose_a_into(x, dy, dw_scratch);
+        ops::matmul_into(xt, dy, dw_scratch);
         ops::add_assign(dw, dw_scratch);
         // db += column sums of dy
         for r in 0..dy.rows() {
@@ -198,6 +199,18 @@ mod tests {
         assert_eq!(l.db, vec![1.0, 0.0, -1.0]);
         // dx = dy · Wᵀ = [1*1 + 0*2 + (-1)*3, 1*4 + 0*5 + (-1)*6]
         assert_eq!(dx.as_slice(), &[-2.0, -2.0]);
+    }
+
+    #[test]
+    fn transposed_cache_follows_the_latest_batch() {
+        let mut l = fixed_layer();
+        let _ = l.forward_train(&Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
+        let _ = l.forward_train(&Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5]]));
+        let dy = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.5, 2.0, 0.0]]);
+        l.backward(&dy, None);
+        // dW = xᵀ · dy over the 2-row batch only.
+        assert_eq!(l.dw, Matrix::from_rows(&[&[2.0, 4.0, -1.0], &[-0.75, 1.0, 1.0]]));
+        assert_eq!(l.db, vec![1.5, 2.0, -1.0]);
     }
 
     #[test]

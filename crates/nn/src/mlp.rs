@@ -24,7 +24,7 @@ pub struct Mlp {
     activation: Activation,
     /// Post-activation outputs of each hidden layer from the last
     /// `forward_train`, used by `backward`. Buffers are reused across
-    /// calls via `Matrix::copy_from`-style overwrites.
+    /// calls (the `_into` kernels overwrite them in place).
     hidden_outputs: Vec<Matrix>,
     /// Ping-pong workspace matrices for `forward_into` activations and
     /// `backward` inter-layer gradients (never live at the same time).

@@ -184,14 +184,17 @@ impl DualCriticAgent {
             self.buffer.clear();
             self.episodes_buffered = 0;
         }
-        let total = collect_episode_opts(
-            &mut self.actor,
-            env,
-            &mut self.buffer,
-            &mut self.rng,
-            self.cfg.mask_invalid_actions,
-            &mut self.scratch,
-        );
+        let total = {
+            let _rollout = self.telemetry.span("rl/rollout");
+            collect_episode_opts(
+                &mut self.actor,
+                env,
+                &mut self.buffer,
+                &mut self.rng,
+                self.cfg.mask_invalid_actions,
+                &mut self.scratch,
+            )
+        };
         self.episodes_buffered += 1;
         self.telemetry.observe("rl/episode_reward", total as f64);
         self.telemetry.gauge("rl/buffer_transitions", self.buffer.len() as f64);

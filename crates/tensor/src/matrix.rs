@@ -173,13 +173,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Copies the contents of `src` into `self`, reshaping as needed
-    /// (allocation-free once capacity suffices).
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.resize(src.rows, src.cols);
-        self.data.copy_from_slice(&src.data);
-    }
-
     /// Frobenius norm `sqrt(Σ x²)`.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()

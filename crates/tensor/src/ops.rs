@@ -21,6 +21,13 @@
 //! the tolerance contract is zero ULP, pinned by the equivalence proptests
 //! in `crates/tensor/tests/proptests.rs`. Set `PFRL_TENSOR_SIMD=0` to
 //! force the scalar tier (results do not change, only speed).
+//!
+//! The training weight gradient `dW = xᵀ · dy` has no kernel of its own:
+//! `Linear` caches its input transposed, so `dW` is [`matmul_into`]`(xᵀ,
+//! dy)` on the dispatched GEMM. Per output element that is the sequence
+//! `dW[i][j] += x[p][i] · dy[p][j]` in ascending `p`, exact-zero `x[p][i]`
+//! skipped — bit for bit the scalar `p-i-j` loop the proptests keep as its
+//! oracle.
 
 use crate::simd;
 #[cfg(target_arch = "x86_64")]
@@ -234,47 +241,6 @@ pub fn matmul_transpose_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix, bt_scra
             let btrow = bt_scratch.row(p);
             for j in 0..n {
                 orow[j] += av * btrow[j];
-            }
-        }
-    }
-}
-
-/// `out = aᵀ · b` where `a` is `k×m` and `b` is `k×n` (so `out` is `m×n`).
-///
-/// Used for weight gradients: `dW = xᵀ · dy`.
-pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    matmul_transpose_a_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_transpose_a`] into a reusable output buffer.
-///
-/// Same `p-i-j` loop and zero-skip rule as the historical allocating
-/// kernel: bitwise unchanged.
-pub fn matmul_transpose_a_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_transpose_a: a is {}x{}, b is {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    out.resize(m, n);
-    out.fill_zero();
-    for p in 0..k {
-        let arow = a.row(p);
-        let brow = b.row(p);
-        for (i, &av) in arow.iter().enumerate().take(m) {
-            if av == 0.0 {
-                continue;
-            }
-            let orow = out.row_mut(i);
-            for j in 0..n {
-                orow[j] += av * brow[j];
             }
         }
     }
@@ -543,10 +509,6 @@ mod tests {
         let via_kernel = matmul_transpose_b(&a, &b);
         let via_explicit = matmul(&a, &b.transposed());
         assert_eq!(via_kernel, via_explicit);
-        // aᵀ (3x2) · b (2x3) = 3x3
-        let via_kernel = matmul_transpose_a(&a, &b);
-        let via_explicit = matmul(&a.transposed(), &b);
-        assert_eq!(via_kernel, via_explicit);
     }
 
     #[test]
@@ -571,8 +533,6 @@ mod tests {
         let mut bt = Matrix::zeros(0, 0);
         matmul_transpose_b_into(&a, &a, &mut out, &mut bt);
         assert_eq!(out, matmul_transpose_b(&a, &a));
-        matmul_transpose_a_into(&a, &b.transposed(), &mut out);
-        assert_eq!(out, matmul_transpose_a(&a, &b.transposed()));
     }
 
     #[test]

@@ -46,12 +46,10 @@ proptest! {
 
     #[test]
     fn transpose_kernels_consistent((a, b) in matmul_pair(8)) {
-        // a: m×k, b: k×n. a·b == matmul_transpose_b(a, bᵀ) == matmul_transpose_a(aᵀ, b)
+        // a: m×k, b: k×n. a·b == matmul_transpose_b(a, bᵀ)
         let direct = ops::matmul(&a, &b);
         let via_tb = ops::matmul_transpose_b(&a, &b.transposed());
-        let via_ta = ops::matmul_transpose_a(&a.transposed(), &b);
         prop_assert!(approx_eq(&direct, &via_tb, 1e-3));
-        prop_assert!(approx_eq(&direct, &via_ta, 1e-3));
     }
 
     #[test]
@@ -136,19 +134,6 @@ proptest! {
         let mut out = garbage(2, 7);
         let mut scratch = garbage(4, 1);
         ops::matmul_transpose_b_into(&a, &bt, &mut out, &mut scratch);
-        prop_assert_eq!(out.shape(), fresh.shape());
-        prop_assert_eq!(out.as_slice(), fresh.as_slice());
-    }
-
-    #[test]
-    fn matmul_transpose_a_into_bitwise_equals((a, b) in matmul_pair(8)) {
-        // a: m×k, b: k×n → op over (aᵀ: k×m, b) ... transpose_a expects
-        // a': p×m with result m×?; use (aᵀ, b') where b' shares a's rows.
-        let at = a.transposed();
-        let fresh = ops::matmul_transpose_a(&at, &b);
-        prop_assume!(at.rows() == b.rows());
-        let mut out = garbage(1, 9);
-        ops::matmul_transpose_a_into(&at, &b, &mut out);
         prop_assert_eq!(out.shape(), fresh.shape());
         prop_assert_eq!(out.as_slice(), fresh.as_slice());
     }
@@ -322,6 +307,24 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The weight-gradient kernel `dW = xᵀ · dy` as it was before it moved onto
+/// the GEMM: a scalar `p-i-j` loop over the untransposed `x`, skipping
+/// exact-zero `x[p][i]`.
+fn dw_pij_oracle(x: &Matrix, dy: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(x.cols(), dy.cols());
+    for p in 0..x.rows() {
+        for (i, &xv) in x.row(p).iter().enumerate() {
+            if xv == 0.0 {
+                continue;
+            }
+            for (o, &g) in out.row_mut(i).iter_mut().zip(dy.row(p)) {
+                *o += xv * g;
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #[test]
     fn simd_matvec_bias_is_bitwise_reference((x, w, bias) in matvec_triple()) {
@@ -395,6 +398,29 @@ proptest! {
         ops::matmul_bias_into(&a, &w, &bias, &mut got);
         prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
         assert_rows_match_matvec(&a, &w, &bias, &got)?;
+    }
+
+    #[test]
+    fn weight_gradient_gemm_is_bitwise_pij_oracle(
+        (xt, mut dy, _) in matmul_triple(1..=70),
+        poison in proptest::collection::vec(0u8..100, 70 * 70),
+    ) {
+        // `Linear::backward` computes `dW` as the dispatched GEMM over its
+        // transposed input cache (`xt`: in × batch, signed zeros included);
+        // it must equal the historical loop bit for bit, also where the
+        // upstream gradient `dy` (batch × out) carries ±inf and NaN.
+        let hazards = [f32::INFINITY, f32::NEG_INFINITY, X86_DEFAULT_NAN];
+        for (v, &p) in dy.as_mut_slice().iter_mut().zip(&poison) {
+            if let Some(&h) = hazards.get(p as usize) {
+                *v = h;
+            }
+        }
+        let x = xt.transposed();
+        let want = dw_pij_oracle(&x, &dy);
+        let mut got = Matrix::filled(3, 2, f32::NAN);
+        ops::matmul_into(&x.transposed(), &dy, &mut got);
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
     }
 
     #[test]
