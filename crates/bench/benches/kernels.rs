@@ -1,11 +1,13 @@
 //! Criterion microbenchmarks of the tensor kernels behind the hot path:
 //! every matmul variant (allocating vs `_into`), single-row matvec, fused
-//! vs unfused linear forward at PPO shapes, and the attention Q·Kᵀ score
-//! product. Shapes mirror the PPO minibatch (`batch × 64 × 64`) and the
-//! per-decision row (`1 × state_dim`).
+//! vs unfused linear forward at PPO shapes, the input layer on encoded
+//! states, and the attention Q·Kᵀ score product. Shapes mirror the PPO
+//! minibatch (`batch × 64 × 64`) and the per-decision row (`1 × state_dim`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pfrl_core::nn::{Activation, Linear, Mlp};
+use pfrl_core::nn::{Activation, Linear, Mlp, TransposedBatch};
+use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
+use pfrl_core::sim::{Action, CloudEnv, EnvConfig};
 use pfrl_core::tensor::{ops, Matrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -114,6 +116,76 @@ fn bench_linear_fused(c: &mut Criterion) {
     });
 }
 
+/// `rows` consecutive Eq. 1 states (`rows × 180`) from first-fit episodes
+/// on the first Table 2 client: the input batches of a PPO update, with
+/// their `-1` padding and idle-vCPU zeros, unlike the dense random
+/// matrices above.
+fn table2_states(rows: usize) -> Matrix {
+    let setup = &table2_clients(400, 0)[0];
+    let dim = TABLE2_DIMS.state_dim();
+    let mut env = CloudEnv::new(TABLE2_DIMS, setup.vms.clone(), EnvConfig::default());
+    let tasks = &setup.train_tasks[..50];
+    let (mut data, mut state) = (Vec::with_capacity(rows * dim), Vec::new());
+    env.reset(tasks.to_vec());
+    while data.len() < rows * dim {
+        env.observe_into(&mut state);
+        data.extend_from_slice(&state);
+        if env.step(env.first_fit_action().unwrap_or(Action::Wait)).done {
+            env.reset(tasks.to_vec());
+        }
+    }
+    Matrix::from_vec(rows, dim, data)
+}
+
+fn bench_input_layer_on_states(c: &mut Criterion) {
+    // The input layer (180 → 64) as a PPO update runs it: the training
+    // forward over the batch states, the weight-gradient GEMM `dW = xᵀ · dy`
+    // over their full transpose, and the layer's backward, which runs that
+    // GEMM over the transpose's distinct rows only.
+    let mut rng = SmallRng::seed_from_u64(29);
+    let layer = Linear::new(TABLE2_DIMS.state_dim(), 64, &mut rng);
+    let mut group = c.benchmark_group("kernels/input_layer_table2");
+    for &batch in &[32usize, 128] {
+        let x = table2_states(batch);
+        let (xt, xt_distinct) = (x.transposed(), TransposedBatch::of(&x));
+        let dy = random_matrix(batch, 64, &mut rng);
+        let frac = |v: f32| {
+            let hits = x.as_slice().iter().filter(|&&e| e.to_bits() == v.to_bits()).count();
+            100.0 * hits as f64 / x.len() as f64
+        };
+        println!(
+            "# table2 states, batch {batch}: {:.0}% -1, {:.0}% 0, {} of {} xT rows distinct",
+            frac(-1.0),
+            frac(0.0),
+            xt_distinct.distinct_rows().rows(),
+            xt.rows()
+        );
+
+        group.bench_function(BenchmarkId::new("forward_into", batch), |bench| {
+            let mut out = Matrix::default();
+            bench.iter(|| {
+                layer.forward_into(black_box(&x), &mut out);
+                black_box(out.as_slice()[0])
+            });
+        });
+        group.bench_function(BenchmarkId::new("dw_into", batch), |bench| {
+            let mut out = Matrix::default();
+            bench.iter(|| {
+                ops::matmul_into(black_box(&xt), black_box(&dy), &mut out);
+                black_box(out.as_slice()[0])
+            });
+        });
+        group.bench_function(BenchmarkId::new("backward", batch), |bench| {
+            let mut layer = layer.clone();
+            bench.iter(|| {
+                layer.backward(black_box(&xt_distinct), black_box(&dy), None);
+                black_box(layer.dw.as_slice()[0])
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_attention_scores(c: &mut Criterion) {
     // Q·Kᵀ at the attention-weight generator's working shape: one query row
     // per client and the shared key bank (clients × d_k).
@@ -193,6 +265,7 @@ criterion_group!(
     bench_matmul_variants,
     bench_matvec,
     bench_linear_fused,
+    bench_input_layer_on_states,
     bench_attention_scores,
     bench_attention_scale,
     bench_mlp_one

@@ -1,10 +1,12 @@
 //! Criterion microbenchmarks of the hot kernels: environment stepping,
-//! state encoding, network forward/backward, PPO updates, attention-weight
-//! generation, and workload sampling.
+//! state encoding, network forward/backward, the Adam step, PPO updates,
+//! attention-weight generation, and workload sampling.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pfrl_core::nn::{multi_head_attention_weights, Activation, Mlp, MultiHeadConfig};
-use pfrl_core::presets::{table3_clients, TABLE3_DIMS};
+use pfrl_core::nn::{
+    multi_head_attention_weights, Activation, Adam, Mlp, MultiHeadConfig, TransposedBatch,
+};
+use pfrl_core::presets::{table3_clients, TABLE2_DIMS, TABLE3_DIMS};
 use pfrl_core::rl::{PpoAgent, PpoConfig};
 use pfrl_core::sim::{Action, CloudEnv, EnvConfig, EnvDims, VmSpec};
 use pfrl_core::stats::wilcoxon_signed_rank;
@@ -65,11 +67,28 @@ fn bench_nn(c: &mut Criterion) {
     });
     c.bench_function("nn/forward_backward_batch64", |b| {
         let mut net = net.clone();
+        let x64_t = TransposedBatch::of(&x64);
         b.iter(|| {
             let out = net.forward_train(&x64);
             net.zero_grad();
-            net.backward(&out);
+            net.backward(&x64_t, &out);
             black_box(&net);
+        });
+    });
+
+    // One optimizer step at the Table 2 critic shape (180 → 64 → 1), the
+    // step every critic epoch of a PPO update ends with.
+    c.bench_function("nn/adam_step_mlp_critic_180x64x1", |b| {
+        let sd = TABLE2_DIMS.state_dim();
+        let mut critic = Mlp::new(&[sd, 64, 1], Activation::Tanh, &mut rng);
+        let x = Matrix::from_vec(64, sd, (0..64 * sd).map(|i| (i as f32 * 0.37).sin()).collect());
+        let out = critic.forward_train(&x);
+        critic.zero_grad();
+        critic.backward(&TransposedBatch::of(&x), &out);
+        let mut opt = Adam::new(critic.param_count(), 1e-4);
+        b.iter(|| {
+            opt.step_mlp(&mut critic);
+            black_box(&critic);
         });
     });
 }

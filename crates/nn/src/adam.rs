@@ -1,10 +1,9 @@
-//! The Adam optimizer (Kingma & Ba, 2015), operating on flat parameter and
-//! gradient vectors so the same optimizer serves actor, critic, and public
-//! critic networks.
+//! The Adam optimizer (Kingma & Ba, 2015), over one flat moment vector per
+//! network so the same optimizer serves actor, critic, and public critic
+//! networks.
 
 use crate::params::validate_params;
-use crate::Mlp;
-use pfrl_tensor::ops;
+use crate::{Linear, Mlp};
 
 /// Optimizer moments captured mid-run, for checkpoint/resume of a training
 /// stream (hyperparameters are reconstructed from config, not stored here).
@@ -30,6 +29,12 @@ const EPS: f32 = 1e-8;
 ///
 /// The paper trains the actor at learning rate `3e-4` and critics at `1e-4`
 /// (Sec. 3.1); these are constructor arguments here.
+///
+/// The moments are indexed in the flat order of [`Mlp::flat_params`]
+/// (layer by layer, `W` then `b`), so a checkpoint's [`AdamState`] does not
+/// depend on how a step walks the parameters. The optimizer holds no
+/// parameter or gradient buffers: [`Adam::step_mlp`] reads each layer's
+/// `dw`/`db` and writes its `w`/`b` in place.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -38,12 +43,43 @@ pub struct Adam {
     m: Vec<f32>,
     v: Vec<f32>,
     t: u64,
-    /// Workspace: clipped-gradient copy, flat params, flat grads. Retained
-    /// across steps so [`Adam::step`]/[`Adam::step_mlp`] stop allocating
-    /// after the first call.
-    clip_buf: Vec<f32>,
-    flat_p: Vec<f32>,
-    flat_g: Vec<f32>,
+}
+
+/// The per-step constants every element of one update shares.
+#[derive(Clone, Copy)]
+struct StepConsts {
+    lr: f32,
+    /// Global-norm clip factor, `None` when the step does not clip.
+    scale: Option<f32>,
+    /// Bias corrections `1 − β₁ᵗ`, `1 − β₂ᵗ`.
+    b1t: f32,
+    b2t: f32,
+}
+
+impl StepConsts {
+    /// One Adam update of the parameter run `params` (gradients `grads`,
+    /// moments `m`/`v`), element by element: the single definition both
+    /// [`Adam::step`] and [`Adam::step_mlp`] run.
+    #[inline]
+    fn apply(self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+            let g = match self.scale {
+                Some(s) => g * s,
+                None => g,
+            };
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
+            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+            let mhat = *m / self.b1t;
+            let vhat = *v / self.b2t;
+            *p -= self.lr * mhat / (vhat.sqrt() + EPS);
+        }
+    }
+}
+
+/// The `(W, dW)` and `(b, db)` runs of a layer, in flat order.
+fn layer_runs(l: &mut Linear) -> [(&mut [f32], &[f32]); 2] {
+    let Linear { w, b, dw, db, .. } = l;
+    [(w.as_mut_slice(), dw.as_slice()), (&mut b[..], &db[..])]
 }
 
 impl Adam {
@@ -55,9 +91,6 @@ impl Adam {
             m: vec![0.0; param_count],
             v: vec![0.0; param_count],
             t: 0,
-            clip_buf: Vec::new(),
-            flat_p: Vec::new(),
-            flat_g: Vec::new(),
         }
     }
 
@@ -102,6 +135,25 @@ impl Adam {
         self.t = state.t;
     }
 
+    /// Advances the step count and fixes the step's constants from the
+    /// gradient, given in flat order: its L2 norm is summed sequentially in
+    /// that order, and clipping rescales every element by `max / norm`
+    /// exactly when `norm > max` — the factor
+    /// [`pfrl_tensor::ops::clip_l2_norm`] multiplies by.
+    fn begin_step<'a>(&mut self, grads: impl Iterator<Item = &'a f32>) -> StepConsts {
+        let scale = self.max_grad_norm.and_then(|max| {
+            let norm = grads.fold(0.0f32, |acc, g| acc + g * g).sqrt();
+            (norm > max && norm > 0.0).then(|| max / norm)
+        });
+        self.t += 1;
+        StepConsts {
+            lr: self.lr,
+            scale,
+            b1t: 1.0 - BETA1.powi(self.t as i32),
+            b2t: 1.0 - BETA2.powi(self.t as i32),
+        }
+    }
+
     /// One Adam update of `params` given `grads`.
     ///
     /// # Panics
@@ -113,46 +165,46 @@ impl Adam {
             validate_params(grads).is_ok(),
             "Adam: non-finite gradient — corruption upstream of the optimizer"
         );
-        let grads = if let Some(max) = self.max_grad_norm {
-            self.clip_buf.clear();
-            self.clip_buf.extend_from_slice(grads);
-            ops::clip_l2_norm(&mut self.clip_buf, max);
-            &self.clip_buf[..]
-        } else {
-            grads
-        };
-        self.t += 1;
-        let b1t = 1.0 - BETA1.powi(self.t as i32);
-        let b2t = 1.0 - BETA2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
-        }
+        let k = self.begin_step(grads.iter());
+        k.apply(params, grads, &mut self.m, &mut self.v);
         debug_assert!(
             validate_params(params).is_ok(),
             "Adam: non-finite parameter after step — corrupted update"
         );
     }
 
-    /// Convenience: one Adam step on an [`Mlp`]'s accumulated gradients.
+    /// One Adam step on an [`Mlp`]'s accumulated gradients, in place: each
+    /// layer's `w`/`b` is updated from its `dw`/`db` with no flat copy of
+    /// either. Bit for bit the same as [`Adam::step`] over
+    /// [`Mlp::flat_params`] and [`Mlp::flat_grads`]: the clip norm is summed
+    /// in the same flat order and every element runs the same update.
     ///
-    /// The flat parameter/gradient vectors live in the optimizer's
-    /// workspace and are reused across steps (allocation-free after the
-    /// first call).
+    /// # Panics
+    /// If the network's parameter count disagrees with the optimizer's.
     pub fn step_mlp(&mut self, net: &mut Mlp) {
-        // Temporarily move the buffers out so `step` can borrow `self`.
-        let mut params = std::mem::take(&mut self.flat_p);
-        let mut grads = std::mem::take(&mut self.flat_g);
-        net.flat_grads_into(&mut grads);
-        net.flat_params_into(&mut params);
-        self.step(&mut params, &grads);
-        net.set_flat_params(&params);
-        self.flat_p = params;
-        self.flat_g = grads;
+        assert_eq!(net.param_count(), self.m.len(), "Adam: params length changed");
+        let layers = net.layers_mut();
+        debug_assert!(
+            layers
+                .iter()
+                .all(|l| validate_params(l.dw.as_slice()).and(validate_params(&l.db)).is_ok()),
+            "Adam: non-finite gradient — corruption upstream of the optimizer"
+        );
+        let k = self.begin_step(layers.iter().flat_map(|l| l.dw.as_slice().iter().chain(&l.db)));
+        let mut off = 0;
+        for l in layers.iter_mut() {
+            for (params, grads) in layer_runs(l) {
+                let run = off..off + params.len();
+                off = run.end;
+                k.apply(params, grads, &mut self.m[run.clone()], &mut self.v[run]);
+            }
+        }
+        debug_assert!(
+            layers
+                .iter()
+                .all(|l| validate_params(l.w.as_slice()).and(validate_params(&l.b)).is_ok()),
+            "Adam: non-finite parameter after step — corrupted update"
+        );
     }
 }
 

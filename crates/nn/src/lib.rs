@@ -11,7 +11,7 @@
 //! # Example
 //!
 //! ```
-//! use pfrl_nn::{Activation, Adam, Mlp};
+//! use pfrl_nn::{Activation, Adam, Mlp, TransposedBatch};
 //! use pfrl_tensor::Matrix;
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
@@ -20,6 +20,7 @@
 //! let mut net = Mlp::new(&[1, 16, 1], Activation::Tanh, &mut rng);
 //! let mut opt = Adam::new(net.param_count(), 1e-2);
 //! let x = Matrix::from_rows(&[&[0.0], &[0.25], &[0.5], &[0.75]]);
+//! let xt = TransposedBatch::of(&x); // the backward pass takes the batch transposed
 //! let y = [0.0f32, 0.5, 1.0, 1.5];
 //! for _ in 0..500 {
 //!     let out = net.forward_train(&x);
@@ -28,7 +29,7 @@
 //!         grad[(i, 0)] = 2.0 * (out[(i, 0)] - y[i]) / 4.0;
 //!     }
 //!     net.zero_grad();
-//!     net.backward(&grad);
+//!     net.backward(&xt, &grad);
 //!     opt.step_mlp(&mut net);
 //! }
 //! let pred = net.forward(&Matrix::from_rows(&[&[0.5]]));
@@ -48,7 +49,7 @@ pub use attention::{
     multi_head_attention_weights, multi_head_attention_weights_into, scaled_dot_product_attention,
     AttentionScratch, MultiHeadConfig,
 };
-pub use linear::Linear;
+pub use linear::{Linear, TransposedBatch};
 pub use mlp::Mlp;
 pub use params::{
     apply_mixing_matrix_into, average_params, average_params_into, coordinate_median_into, l2_norm,

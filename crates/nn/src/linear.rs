@@ -1,20 +1,104 @@
-//! Fully-connected layer with cached input and accumulated gradients.
+//! Fully-connected layer with accumulated gradients.
 
 use pfrl_tensor::{init, ops, Matrix};
 use rand::Rng;
 
+/// The transpose `xᵀ` (`in_dim × batch`) of a batch `x`, as the weight
+/// gradient `dW = xᵀ · dy` reads it: the distinct rows of `xᵀ`, plus the
+/// distinct row each input feature's row equals.
+///
+/// Row `i` of `dW` depends only on row `i` of `xᵀ` — the feature's values
+/// across the batch — so features whose rows are bit-equal get bit-equal
+/// `dW` rows, and one GEMM row per distinct row serves all of them.
+/// Encoded states repeat rows heavily: all states of one client share
+/// their void slots (Eq. 1's `-1`) and many zero slots, so a Table 2 batch
+/// of first-fit states has 22–45 distinct rows out of 180.
+///
+/// [`TransposedBatch::set`] reuses its buffers, so a batch holder that is
+/// refilled with same-shaped batches stops allocating after the first.
+#[derive(Debug, Clone, Default)]
+pub struct TransposedBatch {
+    /// The distinct rows of `xᵀ`, in order of first appearance.
+    distinct: Matrix,
+    /// For each input feature, the index of its row in `distinct`.
+    row_of: Vec<usize>,
+    /// A hash of each distinct row's bits, to skip most comparisons.
+    hashes: Vec<u64>,
+}
+
+impl TransposedBatch {
+    /// The transpose of `x`.
+    pub fn of(x: &Matrix) -> Self {
+        let mut t = Self::default();
+        t.set(x);
+        t
+    }
+
+    /// Makes this the transpose of `x` (`batch × in_dim`). Rows are equal
+    /// when their bits are, so `0.0` and `-0.0` rows stay apart.
+    pub fn set(&mut self, x: &Matrix) {
+        let (batch, in_dim) = x.shape();
+        let src = x.as_slice();
+        self.distinct.resize(in_dim, batch);
+        self.row_of.clear();
+        self.hashes.clear();
+        for i in 0..in_dim {
+            let next = self.hashes.len();
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for (j, v) in self.distinct.row_mut(next).iter_mut().enumerate() {
+                *v = src[j * in_dim + i];
+                hash = (hash ^ u64::from(v.to_bits())).wrapping_mul(0x100_0000_01b3);
+            }
+            let row = self.distinct.row(next);
+            let bits_eq = |u: usize| {
+                self.distinct.row(u).iter().zip(row).all(|(a, b)| a.to_bits() == b.to_bits())
+            };
+            match (0..next).find(|&u| self.hashes[u] == hash && bits_eq(u)) {
+                Some(u) => self.row_of.push(u),
+                None => {
+                    self.hashes.push(hash);
+                    self.row_of.push(next);
+                }
+            }
+        }
+        self.distinct.resize(self.hashes.len(), batch);
+    }
+
+    /// Input dimension (rows of `xᵀ`).
+    pub fn in_dim(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// Batch size (columns of `xᵀ`).
+    pub fn batch(&self) -> usize {
+        self.distinct.cols()
+    }
+
+    /// The distinct rows of `xᵀ`, in order of first appearance.
+    pub fn distinct_rows(&self) -> &Matrix {
+        &self.distinct
+    }
+
+    /// For each input feature, its row in [`Self::distinct_rows`].
+    pub fn row_of(&self) -> &[usize] {
+        &self.row_of
+    }
+}
+
 /// A dense layer `y = x · W + b` with `W: in×out`, `b: out`.
 ///
-/// `forward_train` caches the input, stored transposed, so a subsequent
-/// [`Linear::backward`] can compute `dW = xᵀ · dy` on the dispatched GEMM
-/// ([`ops::matmul_into`], AVX2 where available, bit-identical to the scalar
-/// reference), `db = Σ_rows dy`, and, when asked for, `dx = dy · Wᵀ`.
-/// Gradients accumulate across calls until [`Linear::zero_grad`].
+/// The layer keeps no copy of its input: [`Linear::backward`] takes the
+/// batch it was fed already transposed (a [`TransposedBatch`], as the
+/// owning [`crate::Mlp`] or its caller holds it) and computes `dW = xᵀ ·
+/// dy` on the dispatched GEMM ([`ops::matmul_into`], AVX2 where available,
+/// bit-identical to the scalar reference), `db = Σ_rows dy`, and, when
+/// asked for, `dx = dy · Wᵀ`. Gradients accumulate across calls until
+/// [`Linear::zero_grad`].
 ///
 /// The `_into` forwards and the backward reuse caller-owned output buffers
 /// plus two private scratch matrices, so a layer cycled through same-shaped
-/// batches stops allocating after the first pass. The allocating forwards
-/// are wrappers over them — both forms produce bitwise-identical results.
+/// batches stops allocating after the first pass. The allocating forward
+/// is a wrapper over them — both forms produce bitwise-identical results.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix, `in_dim × out_dim`.
@@ -25,8 +109,6 @@ pub struct Linear {
     pub dw: Matrix,
     /// Accumulated bias gradient, same length as `b`.
     pub db: Vec<f32>,
-    /// `xᵀ` of the last `forward_train` input (`in_dim × batch`).
-    cached_input: Option<Matrix>,
     /// Scratch for the per-call `xᵀ·dy` before accumulation into `dw`.
     dw_scratch: Matrix,
     /// Scratch holding `Wᵀ` for the `dx = dy · Wᵀ` kernel.
@@ -41,7 +123,6 @@ impl Linear {
             b: vec![0.0; out_dim],
             dw: Matrix::zeros(in_dim, out_dim),
             db: vec![0.0; out_dim],
-            cached_input: None,
             dw_scratch: Matrix::zeros(0, 0),
             wt_scratch: Matrix::zeros(0, 0),
         }
@@ -94,38 +175,27 @@ impl Linear {
         ops::matvec_bias_into(x, &self.w, &self.b, out);
     }
 
-    /// Forward pass that caches `x` for the backward pass.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_train_into(x, &mut y);
-        y
-    }
-
-    /// [`Linear::forward_train`] into a reusable buffer; the cached input
-    /// is transposed into a retained allocation instead of freshly cloned.
-    pub fn forward_train_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        ops::transpose_into(x, self.cached_input.get_or_insert_with(Matrix::default));
-        self.forward_into(x, out);
-    }
-
-    /// Backward pass: accumulates `dw`/`db`, and writes `dx = dy · Wᵀ` into
-    /// `dx` when one is given. The input layer of a network passes `None`:
-    /// states are not learned, so nothing reads its input gradient. The
-    /// per-call `xᵀ·dy` product (cached `xᵀ` times `dy` on the dispatched
-    /// GEMM) lands in a scratch matrix and is then accumulated into `dw` —
-    /// folding it directly into `dw` would change the addition order and
-    /// thus the low bits.
+    /// Backward pass for a batch `x` whose transpose `xt` the caller holds:
+    /// accumulates `dw`/`db`, and writes `dx = dy · Wᵀ` into `dx` when one
+    /// is given. The input layer of a network passes `None`: states are not
+    /// learned, so nothing reads its input gradient. The per-call `xᵀ·dy`
+    /// product runs on the dispatched GEMM over the distinct rows of `xᵀ`
+    /// into a scratch matrix, and each row of `dw` then accumulates its
+    /// feature's product row — folding the product directly into `dw`
+    /// would change the addition order and thus the low bits.
     ///
     /// # Panics
-    /// If called without a preceding [`Linear::forward_train`].
-    pub fn backward(&mut self, dy: &Matrix, dx: Option<&mut Matrix>) {
-        let Linear { w, dw, db, cached_input, dw_scratch, wt_scratch, .. } = self;
-        let xt = cached_input.as_ref().expect("Linear::backward called without forward_train");
-        assert_eq!(dy.rows(), xt.cols(), "backward batch size mismatch");
+    /// If `xt` or `dy` disagree with the layer's shape or with each other.
+    pub fn backward(&mut self, xt: &TransposedBatch, dy: &Matrix, dx: Option<&mut Matrix>) {
+        let Linear { w, dw, db, dw_scratch, wt_scratch, .. } = self;
+        assert_eq!(xt.in_dim(), w.rows(), "backward input dim mismatch");
+        assert_eq!(dy.rows(), xt.batch(), "backward batch size mismatch");
         assert_eq!(dy.cols(), w.cols(), "backward output dim mismatch");
-        // dW += xᵀ · dy
-        ops::matmul_into(xt, dy, dw_scratch);
-        ops::add_assign(dw, dw_scratch);
+        // dW += xᵀ · dy, one product row per distinct row of xᵀ
+        ops::matmul_into(xt.distinct_rows(), dy, dw_scratch);
+        for (i, &u) in xt.row_of().iter().enumerate() {
+            ops::axpy(1.0, dw_scratch.row(u), dw.row_mut(i));
+        }
         // db += column sums of dy
         for r in 0..dy.rows() {
             ops::axpy(1.0, dy.row(r), db);
@@ -136,7 +206,7 @@ impl Linear {
         }
     }
 
-    /// Clears accumulated gradients (keeps the cached input).
+    /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.dw.fill_zero();
         self.db.iter_mut().for_each(|v| *v = 0.0);
@@ -190,10 +260,9 @@ mod tests {
     fn backward_gradients_hand_example() {
         let mut l = fixed_layer();
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let _ = l.forward_train(&x);
         let dy = Matrix::from_rows(&[&[1.0, 0.0, -1.0]]);
         let mut dx = Matrix::zeros(0, 0);
-        l.backward(&dy, Some(&mut dx));
+        l.backward(&TransposedBatch::of(&x), &dy, Some(&mut dx));
         // dW = xᵀ · dy
         assert_eq!(l.dw, Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[2.0, 0.0, -2.0]]));
         assert_eq!(l.db, vec![1.0, 0.0, -1.0]);
@@ -202,13 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn transposed_cache_follows_the_latest_batch() {
+    fn backward_uses_the_given_batch() {
         let mut l = fixed_layer();
-        let _ = l.forward_train(&Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
-        let _ = l.forward_train(&Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5]]));
+        let x = Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5]]);
         let dy = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.5, 2.0, 0.0]]);
-        l.backward(&dy, None);
-        // dW = xᵀ · dy over the 2-row batch only.
+        l.backward(&TransposedBatch::of(&x), &dy, None);
+        // dW = xᵀ · dy over the 2-row batch.
         assert_eq!(l.dw, Matrix::from_rows(&[&[2.0, 4.0, -1.0], &[-0.75, 1.0, 1.0]]));
         assert_eq!(l.db, vec![1.5, 2.0, -1.0]);
     }
@@ -216,12 +284,10 @@ mod tests {
     #[test]
     fn gradients_accumulate_until_zeroed() {
         let mut l = fixed_layer();
-        let x = Matrix::from_rows(&[&[1.0, 0.0]]);
+        let xt = TransposedBatch::of(&Matrix::from_rows(&[&[1.0, 0.0]]));
         let dy = Matrix::from_rows(&[&[1.0, 1.0, 1.0]]);
-        let _ = l.forward_train(&x);
-        l.backward(&dy, None);
-        let _ = l.forward_train(&x);
-        l.backward(&dy, None);
+        l.backward(&xt, &dy, None);
+        l.backward(&xt, &dy, None);
         assert_eq!(l.db, vec![2.0, 2.0, 2.0]);
         l.zero_grad();
         assert_eq!(l.db, vec![0.0, 0.0, 0.0]);
@@ -229,11 +295,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without forward_train")]
-    fn backward_requires_forward_train() {
+    #[should_panic(expected = "batch size mismatch")]
+    fn backward_rejects_a_batch_of_another_size() {
         let mut l = fixed_layer();
-        let dy = Matrix::zeros(1, 3);
-        l.backward(&dy, None);
+        let xt = TransposedBatch::of(&Matrix::zeros(3, 2));
+        l.backward(&xt, &Matrix::zeros(2, 3), None);
+    }
+
+    #[test]
+    fn transposed_batch_keeps_each_distinct_row_once() {
+        // Features 0 and 2 repeat across the batch, feature 3 repeats
+        // feature 1 but for the sign of a zero.
+        let x = Matrix::from_rows(&[&[-1.0, 0.0, -1.0, -0.0, 0.5], &[-1.0, 2.0, -1.0, 2.0, 0.5]]);
+        let mut t = TransposedBatch::of(&x);
+        assert_eq!((t.in_dim(), t.batch()), (5, 2));
+        assert_eq!(t.row_of(), &[0, 1, 0, 2, 3]);
+        let rows: [[f32; 2]; 4] = [[-1.0, -1.0], [0.0, 2.0], [-0.0, 2.0], [0.5, 0.5]];
+        for (u, want) in rows.iter().enumerate() {
+            let got = t.distinct_rows().row(u);
+            assert!(got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()), "row {u}");
+        }
+        // Refilled with another shape, it describes only the new batch.
+        t.set(&Matrix::from_rows(&[&[3.0], &[4.0], &[3.0]]));
+        assert_eq!((t.in_dim(), t.batch()), (1, 3));
+        assert_eq!(t.distinct_rows().as_slice(), &[3.0, 4.0, 3.0]);
+        assert_eq!(t.row_of(), &[0]);
     }
 
     #[test]

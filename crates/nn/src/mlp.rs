@@ -1,15 +1,17 @@
 //! Multilayer perceptron with exact backpropagation.
 
-use crate::{Activation, Linear};
+use crate::{Activation, Linear, TransposedBatch};
 use pfrl_tensor::Matrix;
 use rand::Rng;
 
 /// A feed-forward network: `Linear → act → … → Linear` (no activation on the
 /// output layer, as required for both value heads and policy logits).
 ///
-/// Training protocol: `forward_train` caches per-layer activations, then
-/// `backward` accumulates parameter gradients, then an optimizer consumes
-/// `flat_grads()` / mutates via `set_flat_params`.
+/// Training protocol: `forward_train` caches the hidden activations (and
+/// their transposes, the next layer's `xᵀ`), then `backward` — given the
+/// input batch transposed, which the caller holds once per batch —
+/// accumulates parameter gradients, then an optimizer steps the layers in
+/// place ([`crate::Adam::step_mlp`]).
 ///
 /// The `_into` methods and `backward` take `&mut self` and route all
 /// intermediate tensors through a private workspace (two ping-pong matrices
@@ -26,6 +28,9 @@ pub struct Mlp {
     /// `forward_train`, used by `backward`. Buffers are reused across
     /// calls (the `_into` kernels overwrite them in place).
     hidden_outputs: Vec<Matrix>,
+    /// `hidden_outputs[i]ᵀ`: layer `i + 1`'s transposed input, the left
+    /// operand of its `dW = xᵀ · dy`.
+    hidden_t: Vec<TransposedBatch>,
     /// Ping-pong workspace matrices for `forward_into` activations and
     /// `backward` inter-layer gradients (never live at the same time).
     ws_a: Matrix,
@@ -48,6 +53,7 @@ impl Mlp {
             layers,
             activation,
             hidden_outputs: Vec::new(),
+            hidden_t: Vec::new(),
             ws_a: Matrix::zeros(0, 0),
             ws_b: Matrix::zeros(0, 0),
             row_a: Vec::new(),
@@ -147,46 +153,51 @@ impl Mlp {
     }
 
     /// [`Mlp::forward_train`] into a reusable output buffer. The cached
-    /// hidden activations overwrite the buffers retained from the previous
-    /// call instead of being freshly cloned.
+    /// hidden activations and their transposes overwrite the buffers
+    /// retained from the previous call instead of being freshly cloned.
+    /// The input batch itself is not cached: [`Mlp::backward`] takes it.
     pub fn forward_train_into(&mut self, x: &Matrix, out: &mut Matrix) {
         let last = self.layers.len() - 1;
-        while self.hidden_outputs.len() < last {
-            self.hidden_outputs.push(Matrix::zeros(0, 0));
-        }
-        self.hidden_outputs.truncate(last);
-        let Mlp { layers, activation, hidden_outputs, .. } = self;
+        self.hidden_outputs.resize_with(last, Matrix::default);
+        self.hidden_t.resize_with(last, TransposedBatch::default);
+        let Mlp { layers, activation, hidden_outputs, hidden_t, .. } = self;
         for i in 0..layers.len() {
             if i == last {
                 let src = if i == 0 { x } else { &hidden_outputs[i - 1] };
-                layers[i].forward_train_into(src, out);
+                layers[i].forward_into(src, out);
             } else {
                 let (prev, rest) = hidden_outputs.split_at_mut(i);
                 let src = if i == 0 { x } else { &prev[i - 1] };
                 let dst = &mut rest[0];
-                layers[i].forward_train_into(src, dst);
+                layers[i].forward_into(src, dst);
                 activation.forward_inplace(dst);
+                hidden_t[i].set(dst);
             }
         }
     }
 
     /// Backward pass from the gradient of the loss w.r.t. the network output:
-    /// accumulates parameter gradients into every layer. Inter-layer
+    /// accumulates parameter gradients into every layer. `x_t` is the
+    /// transpose of the batch the last `forward_train` ran on; a caller that
+    /// trains several epochs on one batch builds it once. Inter-layer
     /// gradients ping-pong through the internal workspace (which is free
     /// during the backward pass); the input layer skips its `dy · W₀ᵀ`
     /// product, because nothing reads the gradient w.r.t. the input batch.
     ///
     /// # Panics
-    /// If no `forward_train` preceded it.
-    pub fn backward(&mut self, d_out: &Matrix) {
+    /// If no `forward_train` preceded it, or `x_t` does not have the shape
+    /// `in_dim × batch`.
+    pub fn backward(&mut self, x_t: &TransposedBatch, d_out: &Matrix) {
         let last = self.layers.len() - 1;
-        let Mlp { layers, activation, hidden_outputs, ws_a, ws_b, .. } = self;
+        assert_eq!(self.hidden_outputs.len(), last, "Mlp::backward called without forward_train");
+        let Mlp { layers, activation, hidden_outputs, hidden_t, ws_a, ws_b, .. } = self;
         for i in (0..=last).rev() {
             if i != last {
                 activation.backward_inplace(&hidden_outputs[i], ws_a);
             }
             let dy = if i == last { d_out } else { &*ws_a };
-            layers[i].backward(dy, (i > 0).then_some(&mut *ws_b));
+            let xt = if i == 0 { x_t } else { &hidden_t[i - 1] };
+            layers[i].backward(xt, dy, (i > 0).then_some(&mut *ws_b));
             std::mem::swap(ws_a, ws_b);
         }
     }
@@ -240,22 +251,20 @@ impl Mlp {
     /// [`Mlp::flat_params`].
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        self.flat_grads_into(&mut out);
-        out
-    }
-
-    /// [`Mlp::flat_grads`] into a reusable vector (cleared first; retains
-    /// capacity across calls).
-    pub fn flat_grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
         for l in &self.layers {
-            l.write_grads(out);
+            l.write_grads(&mut out);
         }
+        out
     }
 
     /// Direct access to the layers (used by tests and diagnostics).
     pub fn layers(&self) -> &[Linear] {
         &self.layers
+    }
+
+    /// Mutable layers, for the optimizer's in-place step.
+    pub(crate) fn layers_mut(&mut self) -> &mut [Linear] {
+        &mut self.layers
     }
 }
 
@@ -330,7 +339,7 @@ mod tests {
         // Analytic: dL/d_out = out.
         let out = net.forward_train(&x);
         net.zero_grad();
-        net.backward(&out);
+        net.backward(&TransposedBatch::of(&x), &out);
         let analytic = net.flat_grads();
 
         let base = net.flat_params();
@@ -358,6 +367,7 @@ mod tests {
         let mut net = mlp(&[2, 16, 1], 21);
         let mut opt = crate::Adam::new(net.param_count(), 0.05);
         let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
+        let xt = TransposedBatch::of(&x);
         let targets = [0.0f32, 1.0, 1.0, 0.0]; // XOR
         let mse = |net: &Mlp| -> f32 {
             let out = net.forward(&x);
@@ -371,7 +381,7 @@ mod tests {
                 d[(i, 0)] = 2.0 * (out[(i, 0)] - targets[i]) / 4.0;
             }
             net.zero_grad();
-            net.backward(&d);
+            net.backward(&xt, &d);
             opt.step_mlp(&mut net);
         }
         let after = mse(&net);

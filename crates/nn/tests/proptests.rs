@@ -6,7 +6,7 @@ use pfrl_nn::params::{
 };
 use pfrl_nn::{
     multi_head_attention_weights, multi_head_attention_weights_into, Activation, Adam,
-    AttentionScratch, Mlp, MultiHeadConfig,
+    AttentionScratch, Mlp, MultiHeadConfig, TransposedBatch,
 };
 use pfrl_tensor::Matrix;
 use proptest::prelude::*;
@@ -318,5 +318,185 @@ proptest! {
         b.forward_train_into(&x, &mut out);
         prop_assert_eq!(out.shape(), fresh.shape());
         prop_assert_eq!(out.as_slice(), fresh.as_slice());
+    }
+}
+
+// --- in-place Adam step ----------------------------------------------------
+//
+// `Adam::step_mlp` steps each layer's `w`/`b` in place from its `dw`/`db`.
+// It must reproduce, bit for bit, the flat path it replaced: copy out the
+// flat gradients and parameters, clip a copy of the gradients to the global
+// norm, run the per-element update, and write the parameters back.
+
+/// The pre-in-place `Adam::step_mlp`, kept verbatim as the oracle.
+struct FlatAdam {
+    lr: f32,
+    max_grad_norm: Option<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+    t: u64,
+}
+
+impl FlatAdam {
+    fn step_mlp(&mut self, net: &mut Mlp) {
+        const BETA1: f32 = 0.9;
+        const BETA2: f32 = 0.999;
+        const EPS: f32 = 1e-8;
+        let mut grads = net.flat_grads();
+        let mut params = net.flat_params();
+        if let Some(max) = self.max_grad_norm {
+            pfrl_tensor::ops::clip_l2_norm(&mut grads, max);
+        }
+        self.t += 1;
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
+        for i in 0..params.len() {
+            let g = grads[i];
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
+            let mhat = self.m[i] / b1t;
+            let vhat = self.v[i] / b2t;
+            params[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
+        }
+        net.set_flat_params(&params);
+    }
+}
+
+fn deep_mlp_strategy() -> impl Strategy<Value = Mlp> {
+    (1usize..9, 1usize..10, 0usize..8, 1usize..4, 0u64..1000).prop_map(|(i, h1, h2, o, seed)| {
+        let mut sizes = vec![i, h1];
+        if h2 > 0 {
+            sizes.push(h2);
+        }
+        sizes.push(o);
+        Mlp::new(&sizes, Activation::Tanh, &mut SmallRng::seed_from_u64(seed))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn in_place_step_mlp_is_bitwise_the_flat_path(
+        net in deep_mlp_strategy(),
+        rows in 1usize..6,
+        seed in 0u64..500,
+        steps in 1usize..7,
+        clip in 0u8..4,
+        gscale in 0.01f32..100.0,
+    ) {
+        // No clip, a clip that fires on every step, one that never does,
+        // and one that fires or not depending on the draw.
+        let max_grad_norm = [None, Some(1e-4), Some(1e9), Some(gscale / 8.0)][clip as usize];
+        let x = batch_for(&net, rows, seed);
+        let xt = TransposedBatch::of(&x);
+        let (mut a, mut b) = (net.clone(), net);
+        let mut opt = Adam::new(a.param_count(), 1e-2).with_max_grad_norm(max_grad_norm);
+        let mut flat = FlatAdam {
+            lr: 1e-2,
+            max_grad_norm,
+            m: vec![0.0; b.param_count()],
+            v: vec![0.0; b.param_count()],
+            t: 0,
+        };
+        let mut fired = 0;
+        for _ in 0..steps {
+            // L = gscale · Σ out² / 2, so dL/d_out = gscale · out.
+            for (net, step) in [(&mut a, 0), (&mut b, 1)] {
+                let mut d = net.forward_train(&x);
+                d.as_mut_slice().iter_mut().for_each(|v| *v *= gscale);
+                net.zero_grad();
+                net.backward(&xt, &d);
+                if step == 0 {
+                    let norm = net.flat_grads().iter().map(|g| g * g).sum::<f32>().sqrt();
+                    fired += usize::from(max_grad_norm.is_some_and(|m| norm > m));
+                    opt.step_mlp(net);
+                } else {
+                    flat.step_mlp(net);
+                }
+            }
+            let bits = |p: Vec<f32>| p.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+            prop_assert_eq!(bits(a.flat_params()), bits(b.flat_params()));
+            let state = opt.snapshot_state();
+            prop_assert_eq!(bits(state.m), bits(flat.m.clone()));
+            prop_assert_eq!(bits(state.v), bits(flat.v.clone()));
+        }
+        if clip == 1 {
+            prop_assert_eq!(fired, steps, "the tiny clip must fire on every step");
+        }
+        if clip == 2 {
+            prop_assert_eq!(fired, 0, "the huge clip must never fire");
+        }
+    }
+}
+
+// --- weight gradient over distinct input rows ------------------------------
+//
+// `Linear::backward` runs the `dW = xᵀ · dy` GEMM once per distinct row of
+// `xᵀ` and hands each feature its row's product. It must give the bits of
+// the full product over every row, accumulated into `dw` as before.
+
+/// Batches shaped like encoded states: each feature (column) is drawn from
+/// a small palette — a copy of an earlier feature, all `-1` (a void slot),
+/// all `±0`, or free values with `-1`/`0` atoms — so rows of `xᵀ` repeat.
+fn state_like_batch() -> impl Strategy<Value = Matrix> {
+    (1usize..9, 1usize..24).prop_flat_map(|(rows, cols)| {
+        (
+            proptest::collection::vec(0u8..7, cols),
+            proptest::collection::vec(0usize..24, cols),
+            proptest::collection::vec(-2.0f32..2.0, rows * cols),
+            proptest::collection::vec(0u8..4, rows * cols),
+        )
+            .prop_map(move |(kinds, copy_of, vals, atoms)| {
+                let mut x = Matrix::zeros(rows, cols);
+                for c in 0..cols {
+                    for r in 0..rows {
+                        let free = match atoms[r * cols + c] {
+                            0 => -1.0,
+                            1 => 0.0,
+                            _ => vals[r * cols + c],
+                        };
+                        x[(r, c)] = match kinds[c] {
+                            0 | 1 if c > 0 => x[(r, copy_of[c] % c)],
+                            2 => -1.0,
+                            3 => 0.0,
+                            4 => -0.0,
+                            _ => free,
+                        };
+                    }
+                }
+                x
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn backward_over_distinct_rows_is_bitwise_the_full_gemm(
+        x in state_like_batch(),
+        out_dim in 1usize..12,
+        seed in 0u64..500,
+    ) {
+        let (rows, in_dim) = x.shape();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut layer = pfrl_nn::Linear::new(in_dim, out_dim, &mut rng);
+        let xt = TransposedBatch::of(&x);
+        prop_assert!(xt.distinct_rows().rows() <= in_dim);
+        let mut want = Matrix::zeros(in_dim, out_dim);
+        // Two calls: the second accumulates onto the first's gradient.
+        for _ in 0..2 {
+            let dy = Matrix::from_vec(
+                rows,
+                out_dim,
+                (0..rows * out_dim).map(|_| rng.gen_range(-3.0f32..3.0)).collect(),
+            );
+            layer.backward(&xt, &dy, None);
+            let full = pfrl_tensor::ops::matmul(&x.transposed(), &dy);
+            pfrl_tensor::ops::add_assign(&mut want, &full);
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&layer.dw), bits(&want));
     }
 }

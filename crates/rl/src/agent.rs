@@ -8,7 +8,7 @@ use crate::returns::{
     discounted_returns, discounted_returns_into, gae_advantages_into, normalize_in_place,
 };
 use pfrl_nn::AdamState;
-use pfrl_nn::{Activation, Adam, Mlp};
+use pfrl_nn::{Activation, Adam, Mlp, TransposedBatch};
 use pfrl_sim::{Action, EpisodeMetrics, SchedulingEnv};
 use pfrl_telemetry::Telemetry;
 use pfrl_tensor::Matrix;
@@ -34,22 +34,35 @@ pub(crate) struct AgentScratch {
     // Minibatch batch tensors (borrowed shared while the epoch scratch is
     // borrowed mutably — kept as sibling fields so the borrows are disjoint).
     pub(crate) states: Matrix,
+    /// `statesᵀ`: every network's input-layer `xᵀ` for each backward pass
+    /// of the update, built once per batch by `prepare_batch` (the α
+    /// refresh outside an update refills `states` only).
+    pub(crate) states_t: TransposedBatch,
     pub(crate) returns: Vec<f32>,
     pub(crate) values: Vec<f32>,
     pub(crate) advantages: Vec<f32>,
+    /// The (local) critic's outputs on `states`. `prepare_batch` fills it
+    /// with a training forward, which [`critic_update`]'s first epoch
+    /// reuses; later epochs overwrite it.
     pub(crate) value_mat: Matrix,
+    /// The same for the dual agent's public critic.
     pub(crate) value_mat2: Matrix,
     pub(crate) epoch: EpochScratch,
 }
 
-/// Per-epoch intermediates of [`actor_update`] / [`critic_update`]:
-/// network outputs and the loss gradient.
+/// Per-epoch intermediates of [`actor_update`] / [`critic_update`]: the
+/// actor's logits and the loss gradient.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EpochScratch {
     pub(crate) policy: PolicyScratch,
     pub(crate) logit_mat: Matrix,
-    pub(crate) value_mat: Matrix,
     pub(crate) grad: Matrix,
+}
+
+/// Fills the batch states and their transpose in `scratch` from `buffer`.
+pub(crate) fn load_states(buffer: &RolloutBuffer, scratch: &mut AgentScratch) {
+    buffer.states_matrix_into(&mut scratch.states);
+    scratch.states_t.set(&scratch.states);
 }
 
 /// Runs one episode with `actor`, filling `buffer`; returns the total
@@ -114,15 +127,17 @@ pub(crate) fn evaluate_greedy_opts<E: SchedulingEnv + ?Sized>(
     }
 }
 
-/// One clipped-surrogate policy update (all epochs) on a prepared batch.
-/// `masks` (flattened `n × action_dim`) must be the masks the rollout was
-/// collected under, or `None` for unmasked rollouts. The per-epoch logits
-/// and gradient live in `scratch`.
+/// One clipped-surrogate policy update (all epochs) on a prepared batch
+/// (`states_t` is `states` transposed). `masks` (flattened `n ×
+/// action_dim`) must be the masks the rollout was collected under, or
+/// `None` for unmasked rollouts. The per-epoch logits and gradient live in
+/// `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn actor_update(
     actor: &mut Mlp,
     opt: &mut Adam,
     states: &Matrix,
+    states_t: &TransposedBatch,
     actions: &[usize],
     old_log_probs: &[f32],
     advantages: &[f32],
@@ -146,7 +161,7 @@ pub(crate) fn actor_update(
             policy,
         );
         actor.zero_grad();
-        actor.backward(grad);
+        actor.backward(states_t, grad);
         opt.step_mlp(actor);
         last = stats;
     }
@@ -154,21 +169,29 @@ pub(crate) fn actor_update(
 }
 
 /// One squared-error regression pass of a value network onto returns
-/// (Eqs. 16–17); returns the pre-update MSE. The per-epoch value/gradient
-/// matrices live in `scratch`.
+/// (Eqs. 16–17); returns the pre-update MSE. `values` must hold what
+/// `critic.forward_train_into(states, values)` leaves under the current
+/// parameters — `prepare_batch` runs exactly that for the advantages — so
+/// the first epoch reuses that forward; each later epoch runs its own into
+/// `values`. `states_t` is `states` transposed.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn critic_update(
     critic: &mut Mlp,
     opt: &mut Adam,
     states: &Matrix,
+    states_t: &TransposedBatch,
     returns: &[f32],
     epochs: usize,
-    scratch: &mut EpochScratch,
+    value_mat: &mut Matrix,
+    grad: &mut Matrix,
 ) -> f32 {
     let n = states.rows();
+    assert_eq!(value_mat.shape(), (n, 1), "critic_update needs the batch's values");
     let mut first_loss = 0.0f32;
-    let EpochScratch { value_mat, grad, .. } = scratch;
     for epoch in 0..epochs {
-        critic.forward_train_into(states, value_mat);
+        if epoch > 0 {
+            critic.forward_train_into(states, value_mat);
+        }
         grad.resize(n, 1);
         let mut loss = 0.0f32;
         for i in 0..n {
@@ -181,7 +204,7 @@ pub(crate) fn critic_update(
             first_loss = loss;
         }
         critic.zero_grad();
-        critic.backward(grad);
+        critic.backward(states_t, grad);
         opt.step_mlp(critic);
     }
     first_loss
@@ -342,6 +365,7 @@ impl PpoAgent {
                 &mut self.actor,
                 &mut self.actor_opt,
                 &self.scratch.states,
+                &self.scratch.states_t,
                 self.buffer.actions(),
                 self.buffer.old_log_probs(),
                 &self.scratch.advantages,
@@ -356,9 +380,11 @@ impl PpoAgent {
                 &mut self.critic,
                 &mut self.critic_opt,
                 &self.scratch.states,
+                &self.scratch.states_t,
                 &self.scratch.returns,
                 self.cfg.critic_epochs,
-                &mut self.scratch.epoch,
+                &mut self.scratch.value_mat,
+                &mut self.scratch.epoch.grad,
             )
         };
         drop(span);
@@ -368,17 +394,19 @@ impl PpoAgent {
         self.telemetry.observe("rl/critic_loss", critic_mse as f64);
     }
 
-    /// Fills the batch tensors in scratch from the buffer: states, returns,
-    /// and the (normalized) advantages under the pre-update critic.
+    /// Fills the batch tensors in scratch from the buffer: states (and
+    /// their transpose), returns, and the (normalized) advantages under the
+    /// pre-update critic. The critic runs its training forward here, so the
+    /// first critic epoch starts from these values and activations.
     fn prepare_batch(&mut self) {
-        self.buffer.states_matrix_into(&mut self.scratch.states);
+        load_states(&self.buffer, &mut self.scratch);
         discounted_returns_into(
             self.buffer.rewards(),
             self.buffer.terminals(),
             self.cfg.gamma,
             &mut self.scratch.returns,
         );
-        self.critic.forward_into(&self.scratch.states, &mut self.scratch.value_mat);
+        self.critic.forward_train_into(&self.scratch.states, &mut self.scratch.value_mat);
         self.scratch.values.clear();
         for i in 0..self.scratch.value_mat.rows() {
             let v = self.scratch.value_mat[(i, 0)];
@@ -609,6 +637,7 @@ mod tests {
                 &mut a.actor,
                 &mut a.actor_opt,
                 &a.scratch.states,
+                &a.scratch.states_t,
                 a.buffer.actions(),
                 a.buffer.old_log_probs(),
                 &a.scratch.advantages,
@@ -623,9 +652,11 @@ mod tests {
                 &mut a.critic,
                 &mut a.critic_opt,
                 &a.scratch.states,
+                &a.scratch.states_t,
                 &a.scratch.returns,
                 epochs,
-                &mut a.scratch.epoch,
+                &mut a.scratch.value_mat,
+                &mut a.scratch.epoch.grad,
             );
         }
         let mut env = small_env();

@@ -17,7 +17,7 @@
 
 use crate::agent::{
     actor_update, build_net, collect_episode_opts, critic_loss, critic_loss_into, critic_update,
-    evaluate_greedy_opts, AgentScratch,
+    evaluate_greedy_opts, load_states, AgentScratch,
 };
 use crate::buffer::{BufferSnapshot, RolloutBuffer};
 use crate::config::PpoConfig;
@@ -61,9 +61,10 @@ pub struct DualAgentSnapshot {
 }
 
 /// Regresses both critics on the batched returns held in `scratch`; returns
-/// the pre-update `(L_φ, L_ψ)` MSEs. A free function over disjoint field
-/// borrows so [`DualCriticAgent::update`] can call it while its telemetry
-/// span is live.
+/// the pre-update `(L_φ, L_ψ)` MSEs. Each critic's first epoch starts from
+/// the values `prepare_batch` left in `value_mat` (local) and `value_mat2`
+/// (public). A free function over disjoint field borrows so
+/// [`DualCriticAgent::update`] can call it while its telemetry span is live.
 fn dual_critic_pass(
     local_critic: &mut Mlp,
     local_opt: &mut Adam,
@@ -72,23 +73,40 @@ fn dual_critic_pass(
     scratch: &mut AgentScratch,
     epochs: usize,
 ) -> (f32, f32) {
+    let AgentScratch { states, states_t, returns, value_mat, value_mat2, epoch, .. } = scratch;
     let local_mse = critic_update(
         local_critic,
         local_opt,
-        &scratch.states,
-        &scratch.returns,
+        states,
+        states_t,
+        returns,
         epochs,
-        &mut scratch.epoch,
+        value_mat,
+        &mut epoch.grad,
     );
     let public_mse = critic_update(
         public_critic,
         public_opt,
-        &scratch.states,
-        &scratch.returns,
+        states,
+        states_t,
+        returns,
         epochs,
-        &mut scratch.epoch,
+        value_mat2,
+        &mut epoch.grad,
     );
     (local_mse, public_mse)
+}
+
+/// Eq. 15 in its scale-normalized form (see
+/// [`DualCriticAgent::refresh_alpha`]): `α = sigmoid((L_ψ − L_φ) / τ)`,
+/// `τ = (L_φ + L_ψ)/2`, from both critics' MSE on the states/returns in
+/// `scratch`, evaluated through its buffers (allocation-free).
+fn batch_alpha(local_critic: &mut Mlp, public_critic: &mut Mlp, scratch: &mut AgentScratch) -> f32 {
+    let AgentScratch { states, returns, value_mat, value_mat2, .. } = scratch;
+    let l_local = critic_loss_into(local_critic, states, returns, value_mat);
+    let l_public = critic_loss_into(public_critic, states, returns, value_mat2);
+    let tau = (0.5 * (l_local + l_public)).max(1e-6);
+    1.0 / (1.0 + (-(l_public - l_local) / tau).exp())
 }
 
 /// Dual-critic PPO client agent.
@@ -226,6 +244,7 @@ impl DualCriticAgent {
                 &mut self.actor,
                 &mut self.actor_opt,
                 &self.scratch.states,
+                &self.scratch.states_t,
                 self.buffer.actions(),
                 self.buffer.old_log_probs(),
                 &self.scratch.advantages,
@@ -251,43 +270,32 @@ impl DualCriticAgent {
         self.telemetry.observe("rl/clip_fraction", actor_stats.clip_fraction as f64);
         self.telemetry.observe("rl/critic_loss_local", local_mse as f64);
         self.telemetry.observe("rl/critic_loss_public", public_mse as f64);
-        // Parameters changed → refresh α (Eq. 15). Same formula as
-        // `refresh_alpha`, evaluated through scratch buffers; the batch's
-        // states/returns are value-identical to re-deriving them from the
-        // buffer, so α is bit-for-bit the same.
+        // Parameters changed → refresh α (Eq. 15) on the batch already in
+        // scratch: it is the buffer's states/returns, so α is bit-for-bit
+        // what `refresh_alpha` computes.
         if self.fixed_alpha.is_none() {
             let _refresh = self.telemetry.span("rl/alpha_refresh");
-            let l_local = critic_loss_into(
-                &mut self.local_critic,
-                &self.scratch.states,
-                &self.scratch.returns,
-                &mut self.scratch.value_mat,
-            );
-            let l_public = critic_loss_into(
-                &mut self.public_critic,
-                &self.scratch.states,
-                &self.scratch.returns,
-                &mut self.scratch.value_mat2,
-            );
-            let tau = (0.5 * (l_local + l_public)).max(1e-6);
-            self.alpha = 1.0 / (1.0 + (-(l_public - l_local) / tau).exp());
+            self.alpha =
+                batch_alpha(&mut self.local_critic, &mut self.public_critic, &mut self.scratch);
         }
         self.telemetry.observe("rl/alpha", self.alpha as f64);
     }
 
-    /// Fills the batch tensors in scratch from the buffer: states, returns,
-    /// and the (normalized) advantages under the pre-update α-blended
-    /// values (Eq. 14).
+    /// Fills the batch tensors in scratch from the buffer: states (and
+    /// their transpose), returns, and the (normalized) advantages under the
+    /// pre-update α-blended values (Eq. 14). Both critics run their
+    /// training forward here, so their first update epoch starts from these
+    /// values and activations.
     fn prepare_batch(&mut self) {
-        self.buffer.states_matrix_into(&mut self.scratch.states);
+        load_states(&self.buffer, &mut self.scratch);
         discounted_returns_into(
             self.buffer.rewards(),
             self.buffer.terminals(),
             self.cfg.gamma,
             &mut self.scratch.returns,
         );
-        self.local_critic.forward_into(&self.scratch.states, &mut self.scratch.value_mat);
-        self.public_critic.forward_into(&self.scratch.states, &mut self.scratch.value_mat2);
+        self.local_critic.forward_train_into(&self.scratch.states, &mut self.scratch.value_mat);
+        self.public_critic.forward_train_into(&self.scratch.states, &mut self.scratch.value_mat2);
         self.scratch.values.clear();
         for i in 0..self.scratch.states.rows() {
             let v = self.alpha * self.scratch.value_mat[(i, 0)]
@@ -314,14 +322,23 @@ impl DualCriticAgent {
     /// which they always are early in training, when the critics have not
     /// yet tracked the return scale — so the relative form keeps Eq. 15's
     /// ordering (worse public critic ⇒ larger α) while staying responsive.
-    /// No-op when no trajectories have been collected yet.
+    /// No-op when no trajectories have been collected yet. The batch is
+    /// re-derived into the agent's scratch, so a steady-state refresh
+    /// allocates nothing; α is bit-for-bit the value [`Self::critic_losses`]
+    /// gives.
     pub fn refresh_alpha(&mut self) {
         if self.fixed_alpha.is_some() || self.buffer.is_empty() {
             return;
         }
-        let (l_local, l_public) = self.critic_losses();
-        let tau = (0.5 * (l_local + l_public)).max(1e-6);
-        self.alpha = 1.0 / (1.0 + (-(l_public - l_local) / tau).exp());
+        self.buffer.states_matrix_into(&mut self.scratch.states);
+        discounted_returns_into(
+            self.buffer.rewards(),
+            self.buffer.terminals(),
+            self.cfg.gamma,
+            &mut self.scratch.returns,
+        );
+        self.alpha =
+            batch_alpha(&mut self.local_critic, &mut self.public_critic, &mut self.scratch);
     }
 
     /// `(L_φ, L_ψ)`: both critics' MSE on the retained trajectories.
@@ -504,6 +521,25 @@ mod tests {
         assert!((a.alpha() - 0.5).abs() < 1e-4, "alpha {}", a.alpha());
     }
 
+    /// `refresh_alpha` evaluates Eq. 15 through scratch buffers; it must
+    /// give the bits of the formula over the allocating `critic_losses`.
+    #[test]
+    fn refresh_alpha_is_bitwise_eq15_over_critic_losses() {
+        let mut a = agent(10);
+        let mut env = small_env();
+        for _ in 0..3 {
+            env.reset(DatasetId::K8s.model().sample(20, 6));
+            a.train_one_episode(&mut env);
+        }
+        let incoming: Vec<f32> = a.local_critic.flat_params().iter().map(|p| 0.5 * p).collect();
+        a.receive_public_critic(&incoming);
+        let (l_local, l_public) = a.critic_losses();
+        let tau = (0.5 * (l_local + l_public)).max(1e-6);
+        let want = 1.0 / (1.0 + (-(l_public - l_local) / tau).exp());
+        assert_ne!(a.alpha(), 0.5, "the halved critic must move α");
+        assert_eq!(a.alpha().to_bits(), want.to_bits());
+    }
+
     #[test]
     fn receive_before_any_training_keeps_default_alpha() {
         let mut a = agent(5);
@@ -571,6 +607,7 @@ mod tests {
                 &mut a.actor,
                 &mut a.actor_opt,
                 &a.scratch.states,
+                &a.scratch.states_t,
                 a.buffer.actions(),
                 a.buffer.old_log_probs(),
                 &a.scratch.advantages,

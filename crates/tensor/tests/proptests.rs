@@ -199,6 +199,8 @@ proptest! {
 //     for every accumulator this kernel can produce), signed and varying
 //     per batch row, including behind non-finite weights where `0·w` would
 //     be NaN (the batched narrow-output kernel masks instead of branching);
+//   * exact `-1.0` inputs (Eq. 1's padding, most of the nonzero entries
+//     of an encoded state) and exact `+1.0` beside them;
 //   * `-inf` logits, as produced by action masking, including whole-slice
 //     `-inf` (the uniform-fallback row of softmax);
 //   * dirty output buffers (NaN-filled, or stale from a previous larger
@@ -208,15 +210,6 @@ proptest! {
 // entry points *are* the reference implementations and these properties
 // hold trivially; on an AVX2 host they pin the vector tier to the scalar
 // ground truth.
-
-/// Values with a fat atom at exact zero (exercises the zero-skip branch).
-fn zeroish(n: usize) -> impl Strategy<Value = Vec<f32>> {
-    (proptest::collection::vec(-8.0f32..8.0, n), proptest::collection::vec(0u8..4, n)).prop_map(
-        |(vals, picks)| {
-            vals.into_iter().zip(picks).map(|(v, p)| if p == 0 { 0.0 } else { v }).collect()
-        },
-    )
-}
 
 /// Logits with masked (`-inf`) entries mixed in, as `policy::apply_mask`
 /// produces them.
@@ -237,7 +230,7 @@ fn maskedish(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
 fn matvec_triple() -> impl Strategy<Value = (Vec<f32>, Matrix, Vec<f32>)> {
     (1usize..=70, 1usize..=70).prop_flat_map(|(k, n)| {
         (
-            zeroish(k),
+            encodedish(k),
             proptest::collection::vec(-5.0f32..5.0, k * n)
                 .prop_map(move |d| Matrix::from_vec(k, n, d)),
             proptest::collection::vec(-2.0f32..2.0, n),
@@ -245,15 +238,19 @@ fn matvec_triple() -> impl Strategy<Value = (Vec<f32>, Matrix, Vec<f32>)> {
     })
 }
 
-/// Values with fat atoms at `+0.0` and `-0.0` (both take the zero-skip).
-fn signed_zeroish(n: usize) -> impl Strategy<Value = Vec<f32>> {
-    (proptest::collection::vec(-8.0f32..8.0, n), proptest::collection::vec(0u8..6, n)).prop_map(
+/// Values with fat atoms at `+0.0` and `-0.0` (both take the zero-skip),
+/// and at `-1.0` and `+1.0`: the values of an Eq. 1-encoded state, whose
+/// padding is `-1.0`.
+fn encodedish(n: usize) -> impl Strategy<Value = Vec<f32>> {
+    (proptest::collection::vec(-8.0f32..8.0, n), proptest::collection::vec(0u8..8, n)).prop_map(
         |(vals, picks)| {
             vals.into_iter()
                 .zip(picks)
                 .map(|(v, p)| match p {
                     0 => 0.0,
                     1 => -0.0,
+                    2 => -1.0,
+                    3 => 1.0,
                     _ => v,
                 })
                 .collect()
@@ -272,7 +269,7 @@ fn matmul_triple(
         |(m, k, narrow, wide, pick)| {
             let n = if pick == 0 { narrow } else { wide };
             (
-                signed_zeroish(m * k).prop_map(move |d| Matrix::from_vec(m, k, d)),
+                encodedish(m * k).prop_map(move |d| Matrix::from_vec(m, k, d)),
                 proptest::collection::vec(-5.0f32..5.0, k * n)
                     .prop_map(move |d| Matrix::from_vec(k, n, d)),
                 proptest::collection::vec(-2.0f32..2.0, n),

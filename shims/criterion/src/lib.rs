@@ -7,6 +7,10 @@
 //! ns/iter, and `BenchmarkGroup::finish` prints every entry's time relative
 //! to the first entry in the group (used by the telemetry-overhead bench to
 //! show the noop-vs-instrumented ratio).
+//!
+//! As upstream, `--test` on the bench binary's command line (`cargo bench
+//! -- --test`) runs every benchmark closure once, untimed, so a bench that
+//! would panic fails fast without paying for a measurement.
 
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -23,6 +27,8 @@ pub struct Criterion {
     warmup: Duration,
     measure: Duration,
     samples: usize,
+    /// Run each closure once, untimed (`--test`).
+    test_mode: bool,
 }
 
 impl Default for Criterion {
@@ -31,6 +37,7 @@ impl Default for Criterion {
             warmup: Duration::from_millis(60),
             measure: Duration::from_millis(240),
             samples: 20,
+            test_mode: false,
         }
     }
 }
@@ -41,7 +48,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let sample = run_bench(name, self, &mut f);
-        print_sample(&sample);
+        print_sample(&sample, self.test_mode);
         self
     }
 
@@ -49,8 +56,10 @@ impl Criterion {
         BenchmarkGroup { criterion: self, name: name.to_string(), results: Vec::new() }
     }
 
-    /// Upstream parses CLI args here; the shim benches everything.
-    pub fn configure_from_args(self) -> Self {
+    /// Reads the bench binary's arguments. Of upstream's flags the shim
+    /// honors only `--test`: run every closure once, with no timing.
+    pub fn configure_from_args(mut self) -> Self {
+        self.test_mode = std::env::args().skip(1).any(|a| a == "--test");
         self
     }
 
@@ -80,6 +89,7 @@ where
         warmup: config.warmup,
         measure: config.measure,
         samples: config.samples,
+        test_mode: config.test_mode,
         result: None,
     };
     f(&mut bencher);
@@ -88,7 +98,11 @@ where
     Sample { name: name.to_string(), mean_ns, median_ns, iters }
 }
 
-fn print_sample(s: &Sample) {
+fn print_sample(s: &Sample, test_mode: bool) {
+    if test_mode {
+        println!("test: {} ... ok", s.name);
+        return;
+    }
     println!(
         "bench: {:<52} {:>12.1} ns/iter (median {:>12.1}, {} iters)",
         s.name, s.mean_ns, s.median_ns, s.iters
@@ -99,11 +113,17 @@ pub struct Bencher {
     warmup: Duration,
     measure: Duration,
     samples: usize,
+    test_mode: bool,
     result: Option<(f64, f64, u64)>,
 }
 
 impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        if self.test_mode {
+            black_box(f());
+            self.result = Some((0.0, 0.0, 1));
+            return;
+        }
         // Warmup: run until the warmup budget elapses, estimating ns/iter.
         let wstart = Instant::now();
         let mut warm_iters: u64 = 0;
@@ -171,7 +191,7 @@ impl BenchmarkGroup<'_> {
     {
         let full = format!("{}/{}", self.name, id);
         let sample = run_bench(&full, self.criterion, &mut f);
-        print_sample(&sample);
+        print_sample(&sample, self.criterion.test_mode);
         self.results.push(sample);
         self
     }
@@ -187,7 +207,7 @@ impl BenchmarkGroup<'_> {
     {
         let full = format!("{}/{}", self.name, id);
         let sample = run_bench(&full, self.criterion, &mut |b| f(b, input));
-        print_sample(&sample);
+        print_sample(&sample, self.criterion.test_mode);
         self.results.push(sample);
         self
     }
@@ -204,7 +224,7 @@ impl BenchmarkGroup<'_> {
     /// Prints every entry relative to the group's first entry — the
     /// comparison view (e.g. instrumented vs. baseline overhead).
     pub fn finish(self) {
-        if self.results.len() < 2 {
+        if self.results.len() < 2 || self.criterion.test_mode {
             return;
         }
         let base = &self.results[0];
@@ -220,7 +240,7 @@ impl BenchmarkGroup<'_> {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -251,6 +271,7 @@ mod tests {
             warmup: Duration::from_millis(2),
             measure: Duration::from_millis(5),
             samples: 5,
+            test_mode: false,
         };
         let s = run_bench("smoke", &c, &mut |b: &mut Bencher| {
             b.iter(|| black_box(3u64).wrapping_mul(7))
@@ -266,10 +287,23 @@ mod tests {
             warmup: Duration::from_millis(1),
             measure: Duration::from_millis(2),
             samples: 3,
+            test_mode: false,
         };
         let mut g = c.benchmark_group("g");
         g.bench_function("a", |b| b.iter(|| black_box(2u64) * 2));
         g.bench_with_input(BenchmarkId::new("b", 10), &10u64, |b, &n| b.iter(|| black_box(n) + 1));
+        g.finish();
+    }
+
+    #[test]
+    fn test_mode_runs_each_closure_once_untimed() {
+        let mut c = Criterion { test_mode: true, ..Criterion::default() };
+        let mut calls = 0u32;
+        let s = run_bench("once", &c, &mut |b: &mut Bencher| b.iter(|| calls += 1));
+        assert_eq!((calls, s.iters), (1, 1));
+        let mut g = c.benchmark_group("g");
+        g.bench_function("a", |b| b.iter(|| black_box(2u64) * 2));
+        g.bench_function("b", |b| b.iter(|| black_box(3u64) * 2));
         g.finish();
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wrapper tallies every allocation in the
 //! process. After a warmup pass has sized all workspaces, a full PPO
-//! train-episode + update, a dual-critic update, and per-decision greedy
-//! inference must allocate **zero** bytes.
+//! train-episode + update, a dual-critic update, a public-critic receipt,
+//! and per-decision greedy inference must allocate **zero** bytes.
 //!
 //! Both measurements live in one `#[test]` because the counters are
 //! process-global and libtest runs sibling tests on parallel threads.
@@ -107,6 +107,23 @@ fn hot_paths_are_allocation_free_after_warmup() {
         (calls, bytes),
         (0, 0),
         "dual-critic train episode + update allocated {calls} times / {bytes} bytes after warmup"
+    );
+
+    // Steady-state receipt of a public critic, as every PFRL-DM client gets
+    // one each round: installing it and refreshing α (Eq. 15) re-derives
+    // the batch into the agent's scratch and runs both critics through
+    // their workspaces. The incoming parameters are built outside the
+    // measured region; one warm receipt sizes nothing new, so a second
+    // must stay off the heap and land on the same α.
+    let incoming: Vec<f32> = dual.local_critic.flat_params().iter().map(|p| 0.5 * p).collect();
+    dual.receive_public_critic(&incoming);
+    let warm_alpha = dual.alpha();
+    let (calls, bytes, _) = count_allocs(|| dual.receive_public_critic(&incoming));
+    assert_eq!(dual.alpha().to_bits(), warm_alpha.to_bits(), "receipt is deterministic");
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "receive_public_critic allocated {calls} times / {bytes} bytes after warmup"
     );
 
     // Per-decision greedy inference: the exact observe → forward → mask →
