@@ -16,17 +16,19 @@
 //!   10% coalition the defended PFRL-DM arm must stay inside its
 //!   attack-free CI and beat blind random, and with no adversaries the
 //!   defense must cost nothing).
-//! * `PFRL_EVAL_SIMEQ=0` skips the sim-core equivalence sweep (on by
-//!   default: paired stepped-vs-event episodes across every dataset and
-//!   both env types must be bit-identical in rewards, clocks, metrics,
-//!   and event counts).
+//!
+//! The stepped-vs-event simulator equivalence is not checked here: it is a
+//! bit-identity property, not a statistical one, and
+//! `tests/event_equivalence.rs` sweeps every dataset and both environment
+//! types in lockstep.
 
 use pfrl_bench::set_run_seed;
 use pfrl_core::experiment::federation_manifest;
+use pfrl_core::sim::EnvConfig;
+use pfrl_eval::sweep::PARTICIPATION_K;
 use pfrl_eval::{
-    check_invariants, check_robustness_invariants, check_simcore_invariants, check_topk_invariant,
-    run_matrix, run_robustness, run_simcore_check, run_topk_check, EvalConfig, RobustnessConfig,
-    SimcoreConfig, TopkConfig,
+    check_invariants, check_robustness_invariants, check_topk_invariant, run_matrix,
+    run_robustness, run_topk_check, EvalConfig, RobustnessConfig, TopkConfig,
 };
 use std::path::PathBuf;
 
@@ -61,9 +63,9 @@ fn main() {
         "eval_gate",
         pfrl_core::experiment::Algorithm::PfrlDm,
         cfg.families[0].dims(),
-        &cfg.env_cfg(),
+        &EnvConfig::default(),
         &pfrl_eval::sweep::ppo_cfg(),
-        &cfg.fed_cfg(cfg.sweep.root_seed),
+        &cfg.schedule.fed_cfg(cfg.sweep.root_seed, PARTICIPATION_K),
     );
     if let Err(e) = manifest.write_next_to(&json) {
         eprintln!("# warning: could not write manifest: {e}");
@@ -122,23 +124,6 @@ fn main() {
         }
         eprint!("{}", robust.to_markdown());
         violations.extend(check_robustness_invariants(&robust));
-    }
-
-    // Sim-core equivalence: the discrete-event time engine must be
-    // bit-identical to the stepped reference on every dataset and both
-    // environment types. Pinned seeds; sub-second at the quick scale.
-    if std::env::var("PFRL_EVAL_SIMEQ").as_deref() != Ok("0") {
-        let scfg = SimcoreConfig::quick();
-        let t4 = std::time::Instant::now();
-        let simeq = run_simcore_check(&scfg);
-        eprintln!(
-            "# sim-core equivalence done in {:.1}s — {} paired episodes, {} events, {} divergence(s)",
-            t4.elapsed().as_secs_f64(),
-            simeq.episodes_compared,
-            simeq.total_events,
-            simeq.divergences.len()
-        );
-        violations.extend(check_simcore_invariants(&simeq));
     }
 
     if violations.is_empty() {

@@ -323,51 +323,21 @@ fn drive_resumable(
     Ok(r.finish())
 }
 
-/// [`run_federation_with_telemetry`] with crash recovery: the federation
+/// [`run_federation_with_options`] with crash recovery: the federation
 /// state (server model, per-client personalized state, optimizer moments,
 /// RNG cursors, fault bookkeeping) is checkpointed every
 /// `ckpt.every_rounds` rounds, and an existing checkpoint at `ckpt.path`
 /// is restored before training. A run that is killed and re-invoked with
 /// the same arguments finishes with curves bit-identical to an
 /// uninterrupted run — every stochastic stream is either derived from
-/// `(seed, client, episode)` or serialized in the checkpoint.
-///
-/// `fault_plan` installs a deterministic fault schedule on the federated
-/// runners (pass [`FaultPlan::none()`] for a healthy run).
+/// `(seed, client, episode)` or serialized in the checkpoint. Scenario,
+/// workflow and fault configuration in `options` are construction-time
+/// and not serialized in checkpoints, so re-invoking with the same
+/// options resumes to bit-identical curves even mid-drift; a bare fault
+/// schedule is [`RunOptions::with_fault_plan`].
 ///
 /// Checkpoint I/O and decode failures surface as [`FedError`]
 /// (`Io`/`Checkpoint` variants).
-#[allow(clippy::too_many_arguments)]
-pub fn run_federation_resumable(
-    algorithm: Algorithm,
-    setups: Vec<ClientSetup>,
-    dims: EnvDims,
-    env_cfg: EnvConfig,
-    ppo_cfg: PpoConfig,
-    fed_cfg: FedConfig,
-    fault_plan: FaultPlan,
-    ckpt: &CheckpointConfig,
-    telemetry: Telemetry,
-) -> Result<(TrainingCurves, TrainedFederation), FedError> {
-    run_federation_resumable_with_options(
-        algorithm,
-        setups,
-        dims,
-        env_cfg,
-        ppo_cfg,
-        fed_cfg,
-        &RunOptions::with_fault_plan(fault_plan),
-        ckpt,
-        telemetry,
-    )
-}
-
-/// [`run_federation_resumable`] with the full [`RunOptions`] surface
-/// (scenario and workflow pools in addition to the fault plan). Because
-/// scenario and workflow configuration are construction-time — like the
-/// fault plan, they are not serialized in checkpoints — a killed run
-/// re-invoked with the same options resumes to bit-identical curves even
-/// mid-drift.
 #[allow(clippy::too_many_arguments)]
 pub fn run_federation_resumable_with_options(
     algorithm: Algorithm,

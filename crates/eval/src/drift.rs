@@ -19,9 +19,11 @@
 
 use crate::family::WorkloadFamily;
 use crate::sweep::json::{ci, f64s, jf, strs};
-use crate::sweep::{self, finite_mean, held_out_vs_random, paired_tests, pm, write_pair, Sweep};
+use crate::sweep::{
+    self, finite_mean, held_out_vs_random, paired_tests, pm, write_pair, Schedule, Sweep,
+    ARRIVAL_COMPRESSION, PARTICIPATION_K,
+};
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
-use pfrl_core::fed::FedConfig;
 use pfrl_core::scenario::{adaptation_metrics, mean_curve, ScenarioBinding, ScenarioPlan};
 use pfrl_core::sim::{EnvConfig, VmSpec};
 use pfrl_core::stats::{BootstrapCi, SeedStream};
@@ -38,23 +40,12 @@ pub struct DriftConfig {
     pub sweep: Sweep,
     /// Arms down the rows (the gate needs at least PFRL-DM + FedAvg).
     pub arms: Vec<Algorithm>,
-    /// Tasks sampled per client for the pre-scenario pools.
-    pub samples: usize,
-    /// Arrival-time compression (shared by pools and drift traces).
-    pub arrival_compression: u64,
-    /// Training episodes per client.
-    pub episodes: usize,
+    /// Training schedule; `samples` sizes the pre-scenario pools and
+    /// `final_window` is the baseline / recovery smoothing window.
+    pub schedule: Schedule,
     /// Episode at which the composite shift hits (strictly inside
     /// `0..episodes`, with room for the recovery window on both sides).
     pub shift_episode: usize,
-    /// Local episodes between aggregation rounds.
-    pub comm_every: usize,
-    /// Clients aggregated per round.
-    pub participation_k: usize,
-    /// Tasks per training episode (`None` = pool size).
-    pub tasks_per_episode: Option<usize>,
-    /// Episodes in the baseline / recovery smoothing window.
-    pub window: usize,
     /// Fan replications over the rayon pool.
     pub parallel: bool,
     /// Scale label stamped into the report ("quick" / "paper").
@@ -67,14 +58,8 @@ impl DriftConfig {
         Self {
             sweep: Sweep::quick(),
             arms: Algorithm::ALL.to_vec(),
-            samples: 120,
-            arrival_compression: 8,
-            episodes: 30,
+            schedule: Schedule { final_window: 5, ..Schedule::quick() },
             shift_episode: 15,
-            comm_every: 5,
-            participation_k: 2,
-            tasks_per_episode: Some(12),
-            window: 5,
             parallel: true,
             scale: "quick",
         }
@@ -84,12 +69,8 @@ impl DriftConfig {
     pub fn paper() -> Self {
         Self {
             sweep: Sweep::paper(),
-            samples: 700,
-            episodes: 160,
+            schedule: Schedule { final_window: 20, ..Schedule::paper() },
             shift_episode: 80,
-            comm_every: 20,
-            tasks_per_episode: Some(50),
-            window: 20,
             scale: "paper",
             ..Self::quick()
         }
@@ -98,15 +79,13 @@ impl DriftConfig {
     /// Panics on configurations the sweep cannot run.
     pub fn validate(&self) {
         self.sweep.validate();
+        self.schedule.validate();
         assert!(!self.arms.is_empty(), "no arms selected");
-        assert!(self.window >= 1, "window must be >= 1");
-        assert!(self.arrival_compression >= 1, "arrival_compression must be >= 1");
+        let Schedule { final_window: window, episodes, .. } = self.schedule;
         assert!(
-            self.shift_episode >= self.window && self.shift_episode + 1 < self.episodes,
-            "shift episode {} leaves no room for baseline window {} or recovery in {} episodes",
+            self.shift_episode >= window && self.shift_episode + 1 < episodes,
+            "shift episode {} leaves no room for baseline window {window} or recovery in {episodes} episodes",
             self.shift_episode,
-            self.window,
-            self.episodes
         );
     }
 }
@@ -243,34 +222,27 @@ struct RepOutcome {
 /// The composite scenario of one replication. Shared by every arm at that
 /// replication index — the pairing invariant.
 fn rep_scenario(cfg: &DriftConfig, seed: u64, n_clients: usize) -> ScenarioPlan {
-    ScenarioPlan::standard_drift(seed, cfg.shift_episode, cfg.comm_every, n_clients)
-        .with_compression(cfg.arrival_compression)
+    ScenarioPlan::standard_drift(seed, cfg.shift_episode, cfg.schedule.comm_every, n_clients)
+        .with_compression(ARRIVAL_COMPRESSION)
 }
 
 fn run_rep(cfg: &DriftConfig, arm: Algorithm, rep: usize) -> RepOutcome {
     let seed = drift_seed(cfg.sweep.root_seed, rep);
     let family = WorkloadFamily::Heterogeneous;
-    let fr = family.replication(cfg.samples, cfg.arrival_compression, seed);
+    let schedule = &cfg.schedule;
+    let fr = family.replication(schedule.samples, ARRIVAL_COMPRESSION, seed);
     let datasets = family.datasets();
     let fleets: Vec<Vec<VmSpec>> = fr.setups.iter().map(|s| s.vms.clone()).collect();
     let plan = rep_scenario(cfg, seed, datasets.len());
     let binding = ScenarioBinding::new(plan.clone(), datasets.to_vec());
 
-    let fed_cfg = FedConfig {
-        episodes: cfg.episodes,
-        comm_every: cfg.comm_every,
-        participation_k: cfg.participation_k,
-        tasks_per_episode: cfg.tasks_per_episode,
-        seed,
-        parallel: false, // replications own the pool
-    };
     let (curves, mut trained) = run_federation_with_options(
         arm,
         fr.setups,
         fr.dims,
         EnvConfig::default(),
         sweep::ppo_cfg(),
-        fed_cfg,
+        schedule.fed_cfg(seed, PARTICIPATION_K),
         &RunOptions::with_scenario(binding),
         Telemetry::noop(),
     );
@@ -279,17 +251,17 @@ fn run_rep(cfg: &DriftConfig, arm: Algorithm, rep: usize) -> RepOutcome {
     if curves.per_client.iter().flatten().any(|v| !v.is_finite()) {
         findings.push(format!("{arm}: non-finite training reward in replication {rep}"));
     }
-    let adapt = adaptation_metrics(&mean_curve(&curves.per_client), cfg.shift_episode, cfg.window);
+    let window = schedule.final_window;
+    let adapt = adaptation_metrics(&mean_curve(&curves.per_client), cfg.shift_episode, window);
 
     // Post-shift held-out trace: episode index `episodes` is one past the
     // training horizon, so the stream is fresh, and the effective model
     // there carries every permanent shift.
-    let n_test = cfg.tasks_per_episode.unwrap_or(40).max(12) * 2;
     let (test_reward, random_reward) = held_out_vs_random(
         &mut trained,
         fr.dims,
         &fleets,
-        |c| plan.episode_tasks(c, datasets[c], n_test, cfg.episodes),
+        |c| plan.episode_tasks(c, datasets[c], schedule.n_test(), schedule.episodes),
         SeedStream::new(seed).child("drift-random"),
         |c| findings.push(format!("{arm}: client {c} placed zero post-shift tasks in rep {rep}")),
     );
@@ -298,7 +270,7 @@ fn run_rep(cfg: &DriftConfig, arm: Algorithm, rep: usize) -> RepOutcome {
         ttr: adapt.time_to_recover,
         recovered: adapt.recovered,
         regret: adapt.post_shift_regret,
-        final_reward: curves.final_mean(cfg.window),
+        final_reward: curves.final_mean(window),
         test_reward,
         random_reward,
         findings,
@@ -373,7 +345,7 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
         root_seed: sweep.root_seed,
         n_seeds: sweep.n_seeds,
         shift_episode: cfg.shift_episode,
-        window: cfg.window,
+        window: cfg.schedule.final_window,
         confidence: sweep.confidence,
         arms,
         random_reward,
@@ -540,13 +512,14 @@ mod tests {
         DriftConfig {
             arms: vec![Algorithm::PfrlDm, Algorithm::FedAvg],
             sweep: Sweep { n_seeds: 2, resamples: 200, ..Sweep::quick() },
-            samples: 40,
-            episodes: 6,
+            schedule: Schedule {
+                samples: 40,
+                episodes: 6,
+                comm_every: 1,
+                tasks_per_episode: Some(6),
+                final_window: 2,
+            },
             shift_episode: 3,
-            comm_every: 1,
-            participation_k: 2,
-            tasks_per_episode: Some(6),
-            window: 2,
             ..DriftConfig::quick()
         }
     }
@@ -617,7 +590,7 @@ mod tests {
         DriftConfig::quick().validate();
         let p = DriftConfig::paper();
         p.validate();
-        assert!(p.episodes > DriftConfig::quick().episodes);
+        assert!(p.schedule.episodes > DriftConfig::quick().schedule.episodes);
         assert_eq!(p.arms, Algorithm::ALL);
     }
 

@@ -17,11 +17,12 @@
 //! * [`robustness`] — algorithm × defense × adversary fraction;
 //! * [`topk`] — dense vs top-k sparse attention on a cohort wider than k.
 //!
-//! [`simcore`] is the odd one out: a stepped-vs-event bit-identity check,
-//! not a statistical sweep. The `eval_gate` binary in `pfrl-bench` drives
-//! the matrix, top-k, robustness, and sim-core checks at a fixed-seed quick
-//! scale and exits nonzero on any violation; `drift_probe` is the drift
-//! gate.
+//! Every config holds one training [`Schedule`] beside its [`Sweep`]
+//! budget. The `eval_gate` binary in `pfrl-bench` drives the matrix, top-k,
+//! and robustness sweeps at a fixed-seed quick scale and exits nonzero on
+//! any violation; `drift_probe` is the drift gate. The stepped-vs-event
+//! simulator equivalence is not a statistical question and is checked in
+//! the workspace's `tests/event_equivalence.rs`, not here.
 //!
 //! # Pairing discipline
 //!
@@ -37,7 +38,6 @@ pub mod gate;
 pub mod matrix;
 pub mod report;
 pub mod robustness;
-pub mod simcore;
 pub mod sweep;
 pub mod topk;
 
@@ -49,16 +49,13 @@ pub use robustness::{
     check_robustness_invariants, run_robustness, Defense, RobustnessArm, RobustnessConfig,
     RobustnessReport,
 };
-pub use simcore::{check_simcore_invariants, run_simcore_check, SimcoreConfig, SimcoreReport};
-pub use sweep::Sweep;
+pub use sweep::{Schedule, Sweep};
 pub use topk::{check_topk_invariant, run_topk_check, TopkConfig, TopkReport};
 
 use pfrl_core::experiment::Algorithm;
-use pfrl_core::fed::FedConfig;
-use pfrl_core::sim::EnvConfig;
 
 /// Everything one matrix run needs: which cells to fill, the statistical
-/// budget, and the training/eval scales.
+/// budget, and the training schedule.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
     /// Seeds, resamples, and confidence. Every replication seed derives from `sweep.root_seed` through the labeled
@@ -68,22 +65,9 @@ pub struct EvalConfig {
     pub algorithms: Vec<Algorithm>,
     /// Workload families across the columns.
     pub families: Vec<WorkloadFamily>,
-    /// Tasks sampled per client before the 60/40 train/test split.
-    pub samples: usize,
-    /// Arrival-time compression factor (arrivals divided by this; ≥ 1).
-    /// Densifies load so placement decisions are visible — see
-    /// [`WorkloadFamily::replication`].
-    pub arrival_compression: u64,
-    /// Training episodes per client.
-    pub episodes: usize,
-    /// Local episodes between aggregation rounds.
-    pub comm_every: usize,
-    /// Clients aggregated per round.
-    pub participation_k: usize,
-    /// Tasks per training episode (`None` = full pool).
-    pub tasks_per_episode: Option<usize>,
-    /// Final-window length (episodes) for the converged-reward metric.
-    pub final_window: usize,
+    /// Training schedule; `samples` tasks per client are drawn before the
+    /// 60/40 train/test split.
+    pub schedule: Schedule,
     /// Fan replications over the rayon pool.
     pub parallel: bool,
     /// Scale label stamped into the report ("quick" / "paper").
@@ -98,13 +82,7 @@ impl EvalConfig {
             sweep: Sweep::quick(),
             algorithms: Algorithm::ALL.to_vec(),
             families: WorkloadFamily::default_families(),
-            samples: 120,
-            arrival_compression: 8,
-            episodes: 30,
-            comm_every: 5,
-            participation_k: 2,
-            tasks_per_episode: Some(12),
-            final_window: 10,
+            schedule: Schedule::quick(),
             parallel: true,
             scale: "quick",
         }
@@ -113,42 +91,15 @@ impl EvalConfig {
     /// The publication scale: more seeds, longer training, tighter
     /// intervals. Expect hours of CPU.
     pub fn paper() -> Self {
-        Self {
-            sweep: Sweep::paper(),
-            samples: 700,
-            episodes: 160,
-            comm_every: 20,
-            tasks_per_episode: Some(50),
-            final_window: 30,
-            scale: "paper",
-            ..Self::quick()
-        }
-    }
-
-    /// The federation schedule for one replication at this scale.
-    pub fn fed_cfg(&self, seed: u64) -> FedConfig {
-        FedConfig {
-            episodes: self.episodes,
-            comm_every: self.comm_every,
-            participation_k: self.participation_k,
-            tasks_per_episode: self.tasks_per_episode,
-            seed,
-            parallel: false, // replications own the pool
-        }
-    }
-
-    /// Environment options (paper defaults).
-    pub fn env_cfg(&self) -> EnvConfig {
-        EnvConfig::default()
+        Self { sweep: Sweep::paper(), schedule: Schedule::paper(), scale: "paper", ..Self::quick() }
     }
 
     /// Panics on configurations the matrix cannot run.
     pub fn validate(&self) {
         self.sweep.validate();
+        self.schedule.validate();
         assert!(!self.algorithms.is_empty(), "no algorithms selected");
         assert!(!self.families.is_empty(), "no workload families selected");
-        assert!(self.final_window >= 1, "final_window must be >= 1");
-        assert!(self.arrival_compression >= 1, "arrival_compression must be >= 1");
     }
 }
 
@@ -172,8 +123,8 @@ mod tests {
         let p = EvalConfig::paper();
         p.validate();
         assert!(p.sweep.n_seeds > q.sweep.n_seeds);
-        assert!(p.samples > q.samples);
-        assert!(p.episodes > q.episodes);
+        assert!(p.schedule.samples > q.schedule.samples);
+        assert!(p.schedule.episodes > q.schedule.episodes);
         assert!(p.sweep.resamples > q.sweep.resamples);
         // Same root seed: paper runs extend, not replace, the quick seeds.
         assert_eq!(p.sweep.root_seed, q.sweep.root_seed);

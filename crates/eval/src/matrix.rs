@@ -3,12 +3,13 @@
 //! tests.
 
 use crate::family::WorkloadFamily;
-use crate::sweep::{self, finite_mean, mean, paired_tests};
+use crate::sweep::{self, finite_mean, mean, paired_tests, ARRIVAL_COMPRESSION, PARTICIPATION_K};
 use crate::EvalConfig;
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::replicate::replication_seed;
 use pfrl_core::sim::{
-    run_blind_random, run_heuristic, CloudEnv, DagCloudEnv, EpisodeMetrics, HeuristicPolicy, VmSpec,
+    run_blind_random, run_heuristic, CloudEnv, DagCloudEnv, EnvConfig, EpisodeMetrics,
+    HeuristicPolicy, VmSpec,
 };
 use pfrl_core::stats::{BootstrapCi, SeedStream};
 use pfrl_core::telemetry::Telemetry;
@@ -335,23 +336,24 @@ fn held_out_metrics(m: &EpisodeMetrics) -> [f64; 3] {
 /// so only the run's first algorithm computes it.
 fn run_rep(cfg: &EvalConfig, family: WorkloadFamily, alg: Algorithm, rep: usize) -> RepOutcome {
     let seed = family_seed(cfg.sweep.root_seed, family, rep);
-    let fr = family.replication(cfg.samples, cfg.arrival_compression, seed);
+    let schedule = &cfg.schedule;
+    let fr = family.replication(schedule.samples, ARRIVAL_COMPRESSION, seed);
     let fleets: Vec<Vec<VmSpec>> = fr.setups.iter().map(|s| s.vms.clone()).collect();
     // Workflow pools are drawn per episode through a seeded window sized to
     // keep episode work comparable to the flat families' task budget (a
     // fork–join workflow carries ~4 tasks per window unit).
     let options = RunOptions {
         workflows: fr.workflows,
-        workflows_per_episode: cfg.tasks_per_episode.map(|t| (t / 4).max(1)),
+        workflows_per_episode: schedule.tasks_per_episode.map(|t| (t / 4).max(1)),
         ..RunOptions::default()
     };
     let (curves, mut trained) = run_federation_with_options(
         alg,
         fr.setups,
         fr.dims,
-        cfg.env_cfg(),
+        EnvConfig::default(),
         sweep::ppo_cfg(),
-        cfg.fed_cfg(seed),
+        schedule.fed_cfg(seed, PARTICIPATION_K),
         &options,
         Telemetry::noop(),
     );
@@ -374,11 +376,11 @@ fn run_rep(cfg: &EvalConfig, family: WorkloadFamily, alg: Algorithm, rep: usize)
             // wrapped as singleton workflows, exactly like the trained
             // clients' greedy eval), so its random floor must run there too.
             let r = if family == WorkloadFamily::Workflow {
-                let mut env = DagCloudEnv::new(fr.dims, fleets[k].clone(), cfg.env_cfg());
+                let mut env = DagCloudEnv::new(fr.dims, fleets[k].clone(), EnvConfig::default());
                 env.reset(test.iter().map(singleton_workflow).collect());
                 run_blind_random(&mut env, policy_seed)
             } else {
-                let mut env = CloudEnv::new(fr.dims, fleets[k].clone(), cfg.env_cfg());
+                let mut env = CloudEnv::new(fr.dims, fleets[k].clone(), EnvConfig::default());
                 env.reset(test.clone());
                 run_heuristic(&mut env, HeuristicPolicy::BlindRandom, policy_seed)
             };
@@ -402,7 +404,7 @@ fn run_rep(cfg: &EvalConfig, family: WorkloadFamily, alg: Algorithm, rep: usize)
     let [reward, response, balance] =
         sums.map(|s| if counted > 0 { s / counted as f64 } else { f64::NAN });
     RepOutcome {
-        values: [curves.final_mean(cfg.final_window), reward, response, balance],
+        values: [curves.final_mean(schedule.final_window), reward, response, balance],
         random: with_floor.then(|| random.map(|s| s / fr.test_sets.len() as f64)),
         findings,
     }
@@ -411,7 +413,7 @@ fn run_rep(cfg: &EvalConfig, family: WorkloadFamily, alg: Algorithm, rep: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sweep;
+    use crate::{Schedule, Sweep};
 
     /// A two-seed micro-matrix over one family and two algorithms —
     /// exercises the full reduction path in a few seconds.
@@ -420,12 +422,13 @@ mod tests {
             algorithms: vec![Algorithm::PfrlDm, Algorithm::FedAvg],
             families: vec![WorkloadFamily::Heterogeneous],
             sweep: Sweep { n_seeds: 2, resamples: 200, ..Sweep::quick() },
-            samples: 40,
-            episodes: 2,
-            comm_every: 1,
-            participation_k: 2,
-            tasks_per_episode: Some(6),
-            final_window: 2,
+            schedule: Schedule {
+                samples: 40,
+                episodes: 2,
+                comm_every: 1,
+                tasks_per_episode: Some(6),
+                final_window: 2,
+            },
             ..EvalConfig::quick()
         }
     }

@@ -27,10 +27,11 @@
 use crate::family::WorkloadFamily;
 use crate::sweep::json::{ci, f64s, jf};
 use crate::sweep::{
-    self, held_out_vs_random, mean, sample_compressed, two_vm_cohort, write_pair, Sweep,
+    self, held_out_vs_random, mean, sample_compressed, two_vm_cohort, write_pair, Schedule, Sweep,
+    ARRIVAL_COMPRESSION,
 };
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
-use pfrl_core::fed::{AttackPlan, FedConfig, RobustConfig};
+use pfrl_core::fed::{AttackPlan, RobustConfig};
 use pfrl_core::sim::{EnvConfig, VmSpec};
 use pfrl_core::stats::{BootstrapCi, SeedStream};
 use pfrl_core::telemetry::{InMemoryRecorder, Telemetry};
@@ -112,18 +113,8 @@ pub struct RobustnessConfig {
     /// Federation size (full participation, so screens always see the
     /// whole cohort).
     pub n_clients: usize,
-    /// Tasks sampled per client training pool.
-    pub samples: usize,
-    /// Arrival-time compression (≥ 1), as in the matrix families.
-    pub arrival_compression: u64,
-    /// Training episodes per client.
-    pub episodes: usize,
-    /// Local episodes between aggregation rounds.
-    pub comm_every: usize,
-    /// Tasks per training episode (`None` = full pool).
-    pub tasks_per_episode: Option<usize>,
-    /// Final-window length for the converged-reward reduction.
-    pub final_window: usize,
+    /// Training schedule of every arm.
+    pub schedule: Schedule,
     /// Fan replications over the rayon pool.
     pub parallel: bool,
     /// Scale label stamped into the report ("quick" / "paper").
@@ -142,12 +133,7 @@ impl RobustnessConfig {
             fractions: vec![0.0, 0.1, 0.3],
             lambda: 1.0,
             n_clients: 10,
-            samples: 40,
-            arrival_compression: 8,
-            episodes: 6,
-            comm_every: 2,
-            tasks_per_episode: Some(8),
-            final_window: 3,
+            schedule: Schedule::cohort_quick(),
             parallel: true,
             scale: "quick",
         }
@@ -158,11 +144,13 @@ impl RobustnessConfig {
     pub fn paper() -> Self {
         Self {
             sweep: Sweep { n_seeds: 5, ..Sweep::paper() },
-            samples: 120,
-            episodes: 20,
-            comm_every: 4,
-            tasks_per_episode: Some(12),
-            final_window: 6,
+            schedule: Schedule {
+                samples: 120,
+                episodes: 20,
+                comm_every: 4,
+                tasks_per_episode: Some(12),
+                final_window: 6,
+            },
             scale: "paper",
             ..Self::quick()
         }
@@ -171,6 +159,7 @@ impl RobustnessConfig {
     /// Panics on configurations that cannot produce a meaningful sweep.
     pub fn validate(&self) {
         self.sweep.validate();
+        self.schedule.validate();
         assert!(!self.algorithms.is_empty(), "no algorithms selected");
         assert!(!self.defenses.is_empty(), "no defenses selected");
         assert!(
@@ -183,8 +172,6 @@ impl RobustnessConfig {
         );
         assert!(self.lambda.is_finite() && self.lambda > 0.0, "lambda must be positive");
         assert!(self.n_clients >= 4, "need >= 4 clients for the screens to engage");
-        assert!(self.arrival_compression >= 1, "arrival_compression must be >= 1");
-        assert!(self.final_window >= 1, "final_window must be >= 1");
         for d in &self.defenses {
             d.robust.validate();
         }
@@ -318,22 +305,15 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
     let stream = SeedStream::new(seed);
     // Every arm of a replication trains on the identical cohort while the
     // coalition poisons its uploads.
+    let schedule = &cfg.schedule;
     let setups = two_vm_cohort(
         cfg.n_clients,
-        cfg.samples,
-        cfg.arrival_compression,
+        schedule.samples,
+        ARRIVAL_COMPRESSION,
         stream.child("robust-pool"),
     );
     let fleets: Vec<Vec<VmSpec>> = setups.iter().map(|s| s.vms.clone()).collect();
     let dims = WorkloadFamily::Heterogeneous.dims();
-    let fed_cfg = FedConfig {
-        episodes: cfg.episodes,
-        comm_every: cfg.comm_every,
-        participation_k: cfg.n_clients,
-        tasks_per_episode: cfg.tasks_per_episode,
-        seed,
-        parallel: false, // replications own the pool
-    };
     // The coalition stream is per-replication: different reps draw
     // different adversary subsets, so the CIs average over coalition
     // geometry as well as training noise.
@@ -349,7 +329,7 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
         dims,
         EnvConfig::default(),
         sweep::ppo_cfg(),
-        fed_cfg,
+        schedule.fed_cfg(seed, cfg.n_clients),
         &RunOptions::with_attack(attack, arm.defense.robust),
         Telemetry::new(recorder.clone()),
     );
@@ -361,7 +341,6 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
 
     // Held-out greedy eval on fresh seeded traces.
     let datasets = WorkloadFamily::Heterogeneous.datasets();
-    let n_test = cfg.tasks_per_episode.unwrap_or(40).max(12) * 2;
     let (test_reward, random_reward) = held_out_vs_random(
         &mut trained,
         dims,
@@ -370,8 +349,8 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
             let test_seed = stream.child("robust-test").index(c as u64).seed();
             sample_compressed(
                 datasets[c % datasets.len()],
-                n_test,
-                cfg.arrival_compression,
+                schedule.n_test(),
+                ARRIVAL_COMPRESSION,
                 test_seed,
             )
         },
@@ -381,7 +360,7 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
 
     let snap = recorder.snapshot();
     RepOutcome {
-        final_reward: curves.final_mean(cfg.final_window),
+        final_reward: curves.final_mean(schedule.final_window),
         test_reward,
         random_reward,
         attacked: snap.counter("fed/attacked_uploads"),
@@ -793,11 +772,13 @@ mod tests {
             fractions: vec![0.0, 0.2],
             n_clients: 5,
             sweep: Sweep { n_seeds: 2, resamples: 200, ..Sweep::quick() },
-            samples: 16,
-            episodes: 2,
-            comm_every: 1,
-            tasks_per_episode: Some(6),
-            final_window: 2,
+            schedule: Schedule {
+                samples: 16,
+                episodes: 2,
+                comm_every: 1,
+                tasks_per_episode: Some(6),
+                final_window: 2,
+            },
             parallel: false,
             ..RobustnessConfig::quick()
         };

@@ -4,6 +4,9 @@
 //! multi-seed runs reduced to bootstrap CIs and Wilcoxon signed-rank tests.
 //! [`Sweep`] carries that method's budget and the steps every sweep shares:
 //!
+//! * [`Schedule`] — the training schedule (pool size, episodes,
+//!   aggregation period, episode size, final window) every sweep's config
+//!   holds one of;
 //! * [`Sweep::run`] — the arms × replications fan-out, parallel or serial,
 //!   bit-identical either way;
 //! * [`Sweep::ci`] — a bootstrap CI seeded by a labeled stream, `None` on
@@ -23,7 +26,7 @@
 //! that is what pairs the arms and makes `parallel` output-invariant.
 
 use pfrl_core::experiment::TrainedFederation;
-use pfrl_core::fed::ClientSetup;
+use pfrl_core::fed::{ClientSetup, FedConfig};
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::sim::{run_heuristic, CloudEnv, EnvConfig, EnvDims, HeuristicPolicy, VmSpec};
 use pfrl_core::stats::{
@@ -103,6 +106,94 @@ impl Sweep {
             .iter()
             .all(|v| v.is_finite())
             .then(|| bootstrap_mean_ci(values, self.resamples, self.confidence, stream.seed()))
+    }
+}
+
+/// Arrival-time compression of every sweep's task pools and held-out
+/// traces: arrivals are divided by it, which densifies load so placement
+/// decisions are visible (see [`WorkloadFamily::replication`]).
+pub const ARRIVAL_COMPRESSION: u64 = 8;
+
+/// Clients aggregated per round in the sweeps that sample their cohort
+/// (the matrix and drift sweeps); the wide-cohort sweeps aggregate every
+/// client.
+pub const PARTICIPATION_K: usize = 2;
+
+/// The training schedule of one sweep: what each replication's federation
+/// trains on and for how long, and the window its curve is reduced over.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Schedule {
+    /// Tasks sampled per client training pool.
+    pub samples: usize,
+    /// Training episodes per client.
+    pub episodes: usize,
+    /// Local episodes between aggregation rounds.
+    pub comm_every: usize,
+    /// Tasks per training episode (`None` = full pool).
+    pub tasks_per_episode: Option<usize>,
+    /// Final-window length (episodes) for the converged-reward reduction;
+    /// the drift sweep's baseline / recovery window too.
+    pub final_window: usize,
+}
+
+impl Schedule {
+    /// The matrix and drift CI-gate schedule: minutes of release-mode
+    /// wall-clock per sweep.
+    pub fn quick() -> Self {
+        Self {
+            samples: 120,
+            episodes: 30,
+            comm_every: 5,
+            tasks_per_episode: Some(12),
+            final_window: 10,
+        }
+    }
+
+    /// The matrix and drift publication schedule. Expect hours of CPU.
+    pub fn paper() -> Self {
+        Self {
+            samples: 700,
+            episodes: 160,
+            comm_every: 20,
+            tasks_per_episode: Some(50),
+            final_window: 30,
+        }
+    }
+
+    /// The short CI-gate schedule of the wide-cohort sweeps (robustness
+    /// and top-k), whose 10–12 clients train every round.
+    pub fn cohort_quick() -> Self {
+        Self {
+            samples: 40,
+            episodes: 6,
+            comm_every: 2,
+            tasks_per_episode: Some(8),
+            final_window: 3,
+        }
+    }
+
+    /// The federation schedule of one replication. Replications own the
+    /// rayon pool, so the federation itself runs serially.
+    pub fn fed_cfg(&self, seed: u64, participation_k: usize) -> FedConfig {
+        FedConfig {
+            episodes: self.episodes,
+            comm_every: self.comm_every,
+            participation_k,
+            tasks_per_episode: self.tasks_per_episode,
+            seed,
+            parallel: false,
+        }
+    }
+
+    /// Held-out tasks per client: two training episodes' worth, and at
+    /// least 24.
+    pub fn n_test(&self) -> usize {
+        self.tasks_per_episode.unwrap_or(40).max(12) * 2
+    }
+
+    /// Panics on a schedule no sweep can reduce.
+    pub fn validate(&self) {
+        assert!(self.final_window >= 1, "final_window must be >= 1");
     }
 }
 
@@ -331,6 +422,24 @@ mod tests {
     #[should_panic(expected = "need >= 2 seeds")]
     fn single_seed_rejected() {
         Sweep { n_seeds: 1, ..Sweep::quick() }.validate();
+    }
+
+    #[test]
+    fn schedule_builds_a_serial_fed_cfg_and_sizes_held_out_traces() {
+        let s = Schedule::cohort_quick();
+        s.validate();
+        let fed = s.fed_cfg(7, 10);
+        assert_eq!((fed.episodes, fed.comm_every, fed.participation_k), (6, 2, 10));
+        assert_eq!((fed.tasks_per_episode, fed.seed, fed.parallel), (Some(8), 7, false));
+        assert_eq!(s.n_test(), 24, "at least 24 held-out tasks");
+        assert_eq!(Schedule::paper().n_test(), 100);
+        assert_eq!(Schedule { tasks_per_episode: None, ..s }.n_test(), 80);
+    }
+
+    #[test]
+    #[should_panic(expected = "final_window must be >= 1")]
+    fn empty_final_window_rejected() {
+        Schedule { final_window: 0, ..Schedule::quick() }.validate();
     }
 
     #[test]

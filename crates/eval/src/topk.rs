@@ -16,14 +16,14 @@
 //! the rayon pool: each is a pure function of its seed, so the report does
 //! not depend on the thread count and there is no serial mode to select.
 
-use pfrl_core::fed::{FedConfig, FederatedRunner, PfrlDmRunner};
+use pfrl_core::fed::{FederatedRunner, PfrlDmRunner};
 use pfrl_core::nn::MultiHeadConfig;
 use pfrl_core::replicate::replication_seed;
 use pfrl_core::sim::EnvConfig;
 use pfrl_core::stats::{BootstrapCi, SeedStream};
 
 use crate::family::WorkloadFamily;
-use crate::sweep::{self, mean, two_vm_cohort, Sweep};
+use crate::sweep::{self, mean, two_vm_cohort, Schedule, Sweep, ARRIVAL_COMPRESSION};
 
 /// One top-k equivalence run: cohort geometry, training schedule, and the
 /// CI the dense arm is reduced to.
@@ -38,18 +38,8 @@ pub struct TopkConfig {
     pub n_clients: usize,
     /// The sparse cutoff under test (paper default: 8).
     pub top_k: usize,
-    /// Tasks sampled per client training pool.
-    pub samples: usize,
-    /// Arrival-time compression (≥ 1), as in the matrix families.
-    pub arrival_compression: u64,
-    /// Training episodes per client.
-    pub episodes: usize,
-    /// Local episodes between aggregation rounds.
-    pub comm_every: usize,
-    /// Tasks per training episode (`None` = full pool).
-    pub tasks_per_episode: Option<usize>,
-    /// Final-window length for the converged-reward reduction.
-    pub final_window: usize,
+    /// Training schedule of both arms.
+    pub schedule: Schedule,
 }
 
 impl TopkConfig {
@@ -61,18 +51,14 @@ impl TopkConfig {
             sweep: Sweep { n_seeds: 3, ..Sweep::quick() },
             n_clients: 12,
             top_k: MultiHeadConfig::PAPER_TOP_K,
-            samples: 40,
-            arrival_compression: 8,
-            episodes: 6,
-            comm_every: 2,
-            tasks_per_episode: Some(8),
-            final_window: 3,
+            schedule: Schedule::cohort_quick(),
         }
     }
 
     /// Panics on configurations that cannot produce a meaningful check.
     pub fn validate(&self) {
         self.sweep.validate();
+        self.schedule.validate();
         assert!(
             self.n_clients > self.top_k,
             "top-k check is vacuous: cohort {} <= top_k {} keeps every score",
@@ -80,8 +66,6 @@ impl TopkConfig {
             self.top_k
         );
         assert!(self.top_k >= 1, "top_k must be >= 1");
-        assert!(self.arrival_compression >= 1, "arrival_compression must be >= 1");
-        assert!(self.final_window >= 1, "final_window must be >= 1");
     }
 }
 
@@ -113,24 +97,17 @@ impl TopkReport {
 fn arm_final(cfg: &TopkConfig, top_k: Option<usize>, rep: usize) -> f64 {
     let root = SeedStream::new(cfg.sweep.root_seed).child("topk-gate").seed();
     let seed = replication_seed(root, rep);
-    let fed = FedConfig {
-        episodes: cfg.episodes,
-        comm_every: cfg.comm_every,
-        participation_k: cfg.n_clients,
-        tasks_per_episode: cfg.tasks_per_episode,
-        seed,
-        parallel: false,
-    };
+    let schedule = &cfg.schedule;
     let pools = SeedStream::new(seed).child("topk-pool");
     let mut runner = PfrlDmRunner::with_attention(
-        two_vm_cohort(cfg.n_clients, cfg.samples, cfg.arrival_compression, pools),
+        two_vm_cohort(cfg.n_clients, schedule.samples, ARRIVAL_COMPRESSION, pools),
         WorkloadFamily::Heterogeneous.dims(),
         EnvConfig::default(),
         sweep::ppo_cfg(),
-        fed,
+        schedule.fed_cfg(seed, cfg.n_clients),
         MultiHeadConfig { top_k, ..Default::default() },
     );
-    runner.train_to_completion().final_mean(cfg.final_window)
+    runner.train_to_completion().final_mean(schedule.final_window)
 }
 
 /// Runs both arms over the paired seeds. Deterministic in
@@ -238,12 +215,13 @@ mod tests {
             n_clients: 5,
             top_k: 3,
             sweep: Sweep { n_seeds: 2, resamples: 200, ..Sweep::quick() },
-            samples: 16,
-            episodes: 2,
-            comm_every: 1,
-            tasks_per_episode: Some(6),
-            final_window: 2,
-            ..TopkConfig::quick()
+            schedule: Schedule {
+                samples: 16,
+                episodes: 2,
+                comm_every: 1,
+                tasks_per_episode: Some(6),
+                final_window: 2,
+            },
         };
         let a = run_topk_check(&cfg);
         let b = run_topk_check(&cfg);

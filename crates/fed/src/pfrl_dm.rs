@@ -74,7 +74,7 @@ fn mean_public_critic_loss(clients: &[Client<DualCriticAgent>]) -> Option<f64> {
         .iter()
         .filter(|c| c.agent.has_trajectories())
         .fold((0.0f64, 0usize), |(sum, count), c| {
-            (sum + c.agent.critic_losses().1 as f64, count + 1)
+            (sum + c.agent.public_critic_loss() as f64, count + 1)
         });
     (count > 0).then(|| sum / count as f64)
 }

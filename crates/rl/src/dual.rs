@@ -28,6 +28,7 @@ use pfrl_nn::AdamState;
 use pfrl_nn::{Adam, Mlp};
 use pfrl_sim::{EpisodeMetrics, SchedulingEnv};
 use pfrl_telemetry::Telemetry;
+use pfrl_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -346,14 +347,29 @@ impl DualCriticAgent {
     /// # Panics
     /// If no episode has been collected yet.
     pub fn critic_losses(&self) -> (f32, f32) {
-        assert!(!self.buffer.is_empty(), "no trajectories buffered");
-        let states = self.buffer.states_matrix();
-        let returns =
-            discounted_returns(self.buffer.rewards(), self.buffer.terminals(), self.cfg.gamma);
+        let (states, returns) = self.loss_batch();
         (
             critic_loss(&self.local_critic, &states, &returns),
             critic_loss(&self.public_critic, &states, &returns),
         )
+    }
+
+    /// `L_ψ` alone: the public critic's MSE on the retained trajectories,
+    /// bit-for-bit `critic_losses().1` without the local critic's forward.
+    ///
+    /// # Panics
+    /// If no episode has been collected yet.
+    pub fn public_critic_loss(&self) -> f32 {
+        let (states, returns) = self.loss_batch();
+        critic_loss(&self.public_critic, &states, &returns)
+    }
+
+    /// The buffered states and their discounted returns.
+    fn loss_batch(&self) -> (Matrix, Vec<f32>) {
+        assert!(!self.buffer.is_empty(), "no trajectories buffered");
+        let returns =
+            discounted_returns(self.buffer.rewards(), self.buffer.terminals(), self.cfg.gamma);
+        (self.buffer.states_matrix(), returns)
     }
 
     /// Whether any trajectories are buffered (i.e. [`Self::critic_losses`]
@@ -538,6 +554,17 @@ mod tests {
         let want = 1.0 / (1.0 + (-(l_public - l_local) / tau).exp());
         assert_ne!(a.alpha(), 0.5, "the halved critic must move α");
         assert_eq!(a.alpha().to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn public_critic_loss_is_the_bits_of_critic_losses() {
+        let mut a = agent(11);
+        let mut env = small_env();
+        for _ in 0..2 {
+            env.reset(DatasetId::K8s.model().sample(20, 6));
+            a.train_one_episode(&mut env);
+        }
+        assert_eq!(a.public_critic_loss().to_bits(), a.critic_losses().1.to_bits());
     }
 
     #[test]

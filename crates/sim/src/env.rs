@@ -139,7 +139,7 @@ impl CloudEnv {
 
     /// Selects the time engine (event calendar by default; the stepped
     /// scan engine is the bit-identical reference used by the equivalence
-    /// gate and the perf baseline).
+    /// suite and the perf baseline).
     ///
     /// # Panics
     /// If called mid-episode — switching then would desynchronize the

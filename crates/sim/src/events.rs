@@ -16,8 +16,8 @@
 //! Under this order the event engine is **bit-identical** to the stepped
 //! reference engine: the clock reaches exactly the same decision points and
 //! applies exactly the same state transitions in the same order, so rewards,
-//! metrics, and telemetry fingerprints match to the last bit (proven by the
-//! `event_equivalence` suite and enforced as an `eval_gate` invariant). The
+//! metrics, and telemetry fingerprints match to the last bit (checked on
+//! every dataset by the workspace's `event_equivalence` suite). The
 //! calendar only changes *how* the next decision point is found: an O(log n)
 //! pop instead of an O(VMs · running) scan per advance, which is what lets a
 //! sparse trace jump dead time at millions of events per second.
@@ -31,7 +31,7 @@ use std::collections::BinaryHeap;
 pub enum TimeEngine {
     /// The legacy reference engine: linear completion scans
     /// (`Cluster::release_to` / `Cluster::next_completion`) and cursor
-    /// sweeps. Kept for the equivalence gate and as the perf baseline.
+    /// sweeps. Kept for the equivalence suite and as the perf baseline.
     Stepped,
     /// The event-calendar engine (default): completions and arrivals live
     /// in a binary heap; advancing pops due events in deterministic order.

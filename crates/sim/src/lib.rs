@@ -5,7 +5,7 @@
 //! calendar of arrival/completion/release events with deterministic
 //! tie-breaking, bit-identical in rewards and metrics to the stepped
 //! reference engine it replaced (selectable via
-//! [`CloudEnv::set_time_engine`] for the equivalence gate and perf
+//! [`CloudEnv::set_time_engine`] for the equivalence suite and perf
 //! baselines).
 //!
 //! One simulation step is one minute (matching `pfrl-workloads`). An episode

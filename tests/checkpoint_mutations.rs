@@ -1,16 +1,17 @@
-//! Untrusted checkpoint bytes must never panic a restore.
+//! Untrusted checkpoint and policy bytes must never panic a decoder.
 //!
 //! Every runner's round-1 checkpoint (with a fault plan, so the fault
-//! section carries retained uploads) is mutated three ways and restored:
-//! truncated at every 97th prefix, flipped one byte at a time at a stride,
-//! and with every plausible length prefix inflated. A mutated checkpoint
-//! may restore (a flipped float is still a float) or be rejected, but the
-//! restore must return instead of panicking or trying a huge allocation,
-//! and a rejected restore must leave the runner untouched.
+//! section carries retained uploads) and one exported `PFRL-POLICY`
+//! snapshot are mutated three ways and decoded: truncated at every 97th
+//! prefix, flipped one byte at a time at a stride, and with every
+//! plausible length prefix inflated. A mutated input may decode (a flipped
+//! float is still a float) or be rejected, but the decoder must return
+//! instead of panicking or trying a huge allocation, and a rejected
+//! restore must leave the runner untouched.
 
 use pfrl_core::fed::{
     ClientSetup, FaultPlan, FedAvgRunner, FedConfig, FederatedRunner, IndependentRunner,
-    MfpoRunner, PfrlDmRunner,
+    MfpoRunner, PfrlDmRunner, PolicySnapshot,
 };
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::sim::{EnvConfig, EnvDims, VmSpec};
@@ -61,30 +62,20 @@ macro_rules! fresh {
     };
 }
 
-/// Restores `bytes`, turning a panic into a test failure naming the case.
-fn restore(r: &mut dyn FederatedRunner, bytes: &[u8], case: &str) -> bool {
-    catch_unwind(AssertUnwindSafe(|| r.restore_checkpoint(bytes).is_ok()))
-        .unwrap_or_else(|_| panic!("{}: restore panicked on {case}", r.algorithm()))
-}
-
-fn mutate_and_restore(build: impl Fn() -> Box<dyn FederatedRunner>) {
-    let mut trained = build();
-    trained.train_round();
-    let good = trained.checkpoint_bytes();
-    let mut r = build();
-    let untouched = r.checkpoint_bytes();
-
+/// Feeds `decode` every mutation of `good`: each 97th-byte prefix (all
+/// must be rejected), one flipped byte at a stride of 61, and every
+/// plausible 8-byte length prefix inflated past any real allocation.
+/// `decode(bytes, case)` returns whether it accepted the bytes.
+fn mutate(good: &[u8], mut decode: impl FnMut(&[u8], &str) -> bool) {
     for len in (0..good.len()).step_by(97) {
-        assert!(!restore(&mut *r, &good[..len], &format!("{len}-byte prefix")));
+        let case = format!("{len}-byte prefix");
+        assert!(!decode(&good[..len], &case), "accepted a {case}");
     }
-    assert_eq!(r.checkpoint_bytes(), untouched, "a rejected restore mutated the runner");
 
-    let mut bytes = good.clone();
+    let mut bytes = good.to_vec();
     for i in (0..good.len()).step_by(61) {
         bytes[i] ^= 0xA5;
-        if restore(&mut *r, &bytes, &format!("byte flip at {i}")) {
-            r = build();
-        }
+        decode(&bytes, &format!("byte flip at {i}"));
         bytes[i] = good[i];
     }
 
@@ -96,14 +87,39 @@ fn mutate_and_restore(build: impl Fn() -> Box<dyn FederatedRunner>) {
         }
         for inflated in [v << 32, u64::MAX] {
             bytes[i..i + 8].copy_from_slice(&inflated.to_le_bytes());
-            if restore(&mut *r, &bytes, &format!("length {inflated} at {i}")) {
-                r = build();
-            }
+            decode(&bytes, &format!("length {inflated} at {i}"));
         }
         bytes[i..i + 8].copy_from_slice(&good[i..i + 8]);
     }
+}
 
-    assert!(restore(&mut *r, &good, "the unmutated checkpoint"));
+/// Runs `f`, turning a panic into a test failure naming `what` and `case`.
+fn no_panic(what: &str, case: &str, f: impl FnOnce() -> bool) -> bool {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| panic!("{what}: panicked on {case}"))
+}
+
+fn mutate_and_restore(build: impl Fn() -> Box<dyn FederatedRunner>) {
+    let mut trained = build();
+    trained.train_round();
+    let good = trained.checkpoint_bytes();
+    let mut r = build();
+    let untouched = r.checkpoint_bytes();
+
+    mutate(&good, |bytes, case| {
+        let ok = no_panic(r.algorithm(), case, || r.restore_checkpoint(bytes).is_ok());
+        if ok {
+            r = build();
+        } else {
+            assert_eq!(
+                r.checkpoint_bytes(),
+                untouched,
+                "{case}: a rejected restore mutated the runner"
+            );
+        }
+        ok
+    });
+
+    assert!(r.restore_checkpoint(&good).is_ok(), "the unmutated checkpoint was rejected");
     assert_eq!(r.checkpoint_bytes(), good);
 }
 
@@ -125,4 +141,16 @@ fn mfpo_checkpoint_mutations_never_panic() {
 #[test]
 fn pfrl_dm_checkpoint_mutations_never_panic() {
     mutate_and_restore(fresh!(PfrlDmRunner));
+}
+
+#[test]
+fn policy_snapshot_mutations_never_panic() {
+    let mut trained = fresh!(PfrlDmRunner)();
+    trained.train_round();
+    let snap = trained.policy_snapshots().swap_remove(0);
+    let good = snap.to_bytes();
+    mutate(&good, |bytes, case| {
+        no_panic("PolicySnapshot::from_bytes", case, || PolicySnapshot::from_bytes(bytes).is_ok())
+    });
+    assert_eq!(PolicySnapshot::from_bytes(&good).expect("the unmutated snapshot"), snap);
 }

@@ -15,6 +15,7 @@ use pfrl_core::sim::{
     run_blind_random, run_heuristic, Action, CloudEnv, DagCloudEnv, EnvConfig, EnvDims,
     EpisodeMetrics, HeuristicPolicy, SchedulingEnv, TimeEngine, VmSpec,
 };
+use pfrl_core::stats::SeedStream;
 use pfrl_core::telemetry::{InMemoryRecorder, Telemetry};
 use pfrl_core::workloads::{DatasetId, TaskSpec, Workflow, WorkflowModel};
 use rand::rngs::SmallRng;
@@ -59,9 +60,10 @@ fn assert_metrics_bit_identical(label: &str, a: &EpisodeMetrics, b: &EpisodeMetr
     assert_eq!(a.total_reward.to_bits(), b.total_reward.to_bits(), "{label}: total_reward");
 }
 
-/// Lockstep-drives a stepped and an event flat env over the same trace and
-/// asserts bitwise-equal rewards, clocks, events, and metrics.
-fn assert_flat_equivalent(label: &str, cfg: EnvConfig, tasks: Vec<TaskSpec>) {
+/// Lockstep-drives a stepped and an event flat env over the same trace,
+/// with the mixed policy seeded by `policy_seed`, and asserts bitwise-equal
+/// rewards, clocks, events, and metrics.
+fn assert_flat_equivalent(label: &str, cfg: EnvConfig, tasks: Vec<TaskSpec>, policy_seed: u64) {
     let mut stepped = CloudEnv::new(dims(), vms(), cfg);
     stepped.set_time_engine(TimeEngine::Stepped);
     let mut event = CloudEnv::new(dims(), vms(), cfg);
@@ -72,7 +74,7 @@ fn assert_flat_equivalent(label: &str, cfg: EnvConfig, tasks: Vec<TaskSpec>) {
     assert_eq!(stepped.now(), event.now(), "{label}: clock after reset");
     assert_eq!(stepped.events(), event.events(), "{label}: events after reset");
 
-    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    let mut rng = SmallRng::seed_from_u64(policy_seed);
     let mut steps = 0u64;
     while !stepped.is_done() {
         let a = mixed_action(stepped.first_fit_action(), stepped.dims().max_vms, &mut rng);
@@ -106,7 +108,7 @@ fn flat_env_bit_identical_across_all_datasets() {
         for t in &mut tasks {
             t.arrival /= 4;
         }
-        assert_flat_equivalent(&format!("{ds:?}"), EnvConfig::default(), tasks);
+        assert_flat_equivalent(&format!("{ds:?}"), EnvConfig::default(), tasks, 0x5eed);
     }
 }
 
@@ -115,7 +117,7 @@ fn flat_env_bit_identical_without_fast_forward() {
     for ds in [DatasetId::K8s, DatasetId::Kvm2019] {
         let tasks = ds.model().sample(60, 3);
         let cfg = EnvConfig { fast_forward: false, ..Default::default() };
-        assert_flat_equivalent(&format!("{ds:?} (dense stepping)"), cfg, tasks);
+        assert_flat_equivalent(&format!("{ds:?} (dense stepping)"), cfg, tasks, 0x5eed);
     }
 }
 
@@ -128,12 +130,13 @@ fn flat_env_bit_identical_on_sparse_traces() {
         for t in &mut tasks {
             t.arrival *= 8;
         }
-        assert_flat_equivalent(&format!("{ds:?} (sparse)"), EnvConfig::default(), tasks);
+        assert_flat_equivalent(&format!("{ds:?} (sparse)"), EnvConfig::default(), tasks, 0x5eed);
     }
 }
 
-/// Lockstep-drives the DAG environment on both engines.
-fn assert_dag_equivalent(label: &str, cfg: EnvConfig, workflows: Vec<Workflow>) {
+/// Lockstep-drives the DAG environment on both engines, with the mixed
+/// policy seeded by `policy_seed`.
+fn assert_dag_equivalent(label: &str, cfg: EnvConfig, workflows: Vec<Workflow>, policy_seed: u64) {
     let mut stepped = DagCloudEnv::new(dims(), vms(), cfg);
     stepped.set_time_engine(TimeEngine::Stepped);
     let mut event = DagCloudEnv::new(dims(), vms(), cfg);
@@ -142,7 +145,7 @@ fn assert_dag_equivalent(label: &str, cfg: EnvConfig, workflows: Vec<Workflow>) 
     event.reset(workflows);
     assert_eq!(stepped.now(), event.now(), "{label}: clock after reset");
 
-    let mut rng = SmallRng::seed_from_u64(0xdead);
+    let mut rng = SmallRng::seed_from_u64(policy_seed);
     let mut steps = 0u64;
     while !stepped.is_done() {
         let max_vms = SchedulingEnv::dims(&stepped).max_vms;
@@ -161,6 +164,7 @@ fn assert_dag_equivalent(label: &str, cfg: EnvConfig, workflows: Vec<Workflow>) 
     }
     assert!(event.is_done(), "{label}: engines disagree on episode end");
     assert_eq!(stepped.events(), event.events(), "{label}: event counts");
+    assert!(event.events() > 0, "{label}: no events applied");
     assert_eq!(stepped.workflow_makespans(), event.workflow_makespans(), "{label}: makespans");
     assert_metrics_bit_identical(label, &stepped.metrics(), &event.metrics());
 }
@@ -172,7 +176,12 @@ fn dag_env_bit_identical_across_datasets() {
         // Densify submissions so workflows overlap and contend.
         model.mean_interarrival /= 4.0;
         let workflows = model.sample(8, 100 + i as u64);
-        assert_dag_equivalent(&format!("{ds:?} workflows"), EnvConfig::default(), workflows);
+        assert_dag_equivalent(
+            &format!("{ds:?} workflows"),
+            EnvConfig::default(),
+            workflows,
+            0xdead,
+        );
     }
 }
 
@@ -181,7 +190,37 @@ fn dag_env_bit_identical_without_fast_forward() {
     let model = WorkflowModel::scientific(DatasetId::Alibaba2018.model());
     let workflows = model.sample(4, 42);
     let cfg = EnvConfig { fast_forward: false, ..Default::default() };
-    assert_dag_equivalent("Alibaba2018 workflows (dense stepping)", cfg, workflows);
+    assert_dag_equivalent("Alibaba2018 workflows (dense stepping)", cfg, workflows, 0xdead);
+}
+
+/// The seeded sweep: on every dataset, one 80-task flat trace (arrivals
+/// compressed 4×) with fast-forward on and off, and six scientific
+/// workflows (submissions compressed 4×). Each dataset's seed is drawn
+/// from one labeled stream and also seeds the flat policy; the DAG policy
+/// takes `seed ^ 0xD46`. 30 paired episodes in all.
+#[test]
+fn seeded_sweep_bit_identical_on_every_dataset_and_arm() {
+    let stream = SeedStream::new(0x51C0_2026).child("simcore-gate");
+    for (k, ds) in DatasetId::ALL.iter().enumerate() {
+        let seed = stream.index(k as u64).seed();
+        let mut tasks = ds.model().sample(80, seed);
+        for t in &mut tasks {
+            t.arrival /= 4;
+        }
+        assert_flat_equivalent(&format!("{ds:?} sweep"), EnvConfig::default(), tasks.clone(), seed);
+        let dense = EnvConfig { fast_forward: false, ..Default::default() };
+        assert_flat_equivalent(&format!("{ds:?} sweep (dense stepping)"), dense, tasks, seed);
+
+        let mut model = WorkflowModel::scientific(ds.model());
+        model.mean_interarrival /= 4.0;
+        let workflows = model.sample(6, seed);
+        assert_dag_equivalent(
+            &format!("{ds:?} sweep workflows"),
+            EnvConfig::default(),
+            workflows,
+            seed ^ 0xD46,
+        );
+    }
 }
 
 type Fingerprint = (BTreeMap<String, u64>, BTreeMap<String, (Vec<(usize, u64)>, u64, u64, u64)>);

@@ -2,7 +2,9 @@
 //! fault injection, partial-participation aggregation, update quarantine,
 //! and checkpoint/kill/resume — across all four runners.
 
-use pfrl_core::experiment::{run_federation_resumable, Algorithm, CheckpointConfig};
+use pfrl_core::experiment::{
+    run_federation_resumable_with_options, Algorithm, CheckpointConfig, RunOptions,
+};
 use pfrl_fed::{
     ClientSetup, FaultPlan, FedAvgRunner, FedConfig, IndependentRunner, MfpoRunner, PfrlDmRunner,
     QuarantinePolicy, TrainingCurves,
@@ -212,14 +214,14 @@ fn resumable_driver_checkpoints_and_restores_on_disk() {
     let _ = std::fs::remove_file(&path);
     let ckpt = CheckpointConfig::every_round(&path);
     let run = || {
-        run_federation_resumable(
+        run_federation_resumable_with_options(
             Algorithm::FedAvg,
             setups(3),
             dims(),
             EnvConfig::default(),
             PpoConfig::default(),
             fed(5, false),
-            chaos_plan(),
+            &RunOptions::with_fault_plan(chaos_plan()),
             &ckpt,
             Telemetry::noop(),
         )
