@@ -3,112 +3,42 @@
 //! composite scenario — rate shift + flash crowd + dataset swap + churn),
 //! writes the full `DRIFT_RESULTS.json` / `.md` evidence under the output
 //! directory, summarizes time-to-recover and post-shift regret into
-//! `BENCH_drift_adaptation.json` at the repo root (plus an append-only
-//! history line), and exits nonzero if any drift invariant is violated.
+//! `BENCH_drift_adaptation.json` at the repo root (plus the same record as
+//! one history line), and exits nonzero if any drift invariant is violated.
 //!
 //! * `PFRL_SCALE=paper` switches to the heavy publication scale.
 //! * `PFRL_DRIFT_SEEDS=N` overrides the replication count (≥ 2).
 //! * `PFRL_DRIFT_OUT=dir` redirects the evidence directory (default
 //!   `results/drift`).
 
-use pfrl_bench::{append_history, git_commit, set_run_seed};
-use pfrl_core::telemetry::RunManifest;
-use pfrl_eval::sweep::json::{ci, jf};
+use pfrl_bench::{publish_record, set_run_seed};
+use pfrl_core::telemetry::{Json, RunManifest};
+use pfrl_eval::sweep::json::ci_value;
 use pfrl_eval::{check_drift_invariants, run_drift, DriftConfig, DriftReport};
 use std::path::PathBuf;
 
 const OUT: &str = "BENCH_drift_adaptation.json";
-/// Append-only adaptation history: one JSON line per probe run, keyed by
-/// the git commit so adaptation regressions can be bisected.
-const HISTORY: &str = "BENCH_drift_adaptation.history.jsonl";
 
 /// The headline summary: per-arm adaptation metrics with bootstrap CIs.
-fn bench_json(report: &DriftReport, manifest: &RunManifest) -> String {
-    let arms: Vec<String> = report
-        .arms
-        .iter()
-        .map(|a| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"name\": \"{name}\",\n",
-                    "      \"time_to_recover_ep\": {ttr},\n",
-                    "      \"recovered_frac\": {rec},\n",
-                    "      \"post_shift_regret\": {regret},\n",
-                    "      \"final_reward\": {fin},\n",
-                    "      \"post_shift_test_reward\": {test}\n",
-                    "    }}"
-                ),
-                name = a.arm.name(),
-                ttr = ci(&a.ttr_ci),
-                rec = jf(a.recovered_frac),
-                regret = ci(&a.regret_ci),
-                fin = ci(&a.final_reward_ci),
-                test = ci(&a.test_reward_ci),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"run\": \"drift_probe\",\n",
-            "  \"scale\": \"{scale}\",\n",
-            "  \"root_seed\": {seed},\n",
-            "  \"n_seeds\": {n},\n",
-            "  \"shift_episode\": {shift},\n",
-            "  \"window\": {window},\n",
-            "  \"confidence\": {conf},\n",
-            "  \"ts_unix_s\": {ts},\n",
-            "  \"git_commit\": \"{commit}\",\n",
-            "  \"random_post_shift_reward\": {floor},\n",
-            "  \"arms\": [\n{arms}\n  ]\n",
-            "}}\n"
-        ),
-        scale = report.scale,
-        seed = report.root_seed,
-        n = report.n_seeds,
-        shift = report.shift_episode,
-        window = report.window,
-        conf = report.confidence,
-        ts = manifest.created_unix_s,
-        commit = git_commit(),
-        floor = jf(report.random_reward_mean()),
-        arms = arms.join(",\n"),
-    )
-}
-
-/// The compact history line of one probe run, appended to [`HISTORY`].
-fn history_line(report: &DriftReport, manifest: &RunManifest) -> String {
-    let arms: Vec<String> = report
-        .arms
-        .iter()
-        .map(|a| {
-            format!(
-                concat!(
-                    "{{\"name\": \"{}\", \"ttr\": {}, \"recovered_frac\": {}, ",
-                    "\"regret\": {}, \"test_reward\": {}}}"
-                ),
-                a.arm.name(),
-                jf(a.ttr_mean()),
-                jf(a.recovered_frac),
-                jf(a.regret_mean()),
-                jf(a.test_reward_mean()),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"scale\": \"{}\", ",
-            "\"root_seed\": {}, \"n_seeds\": {}, \"random_reward\": {}, \"arms\": [{}]}}\n"
-        ),
-        manifest.created_unix_s,
-        git_commit(),
-        report.scale,
-        report.root_seed,
-        report.n_seeds,
-        jf(report.random_reward_mean()),
-        arms.join(", "),
-    )
+fn record_body(report: &DriftReport) -> Json {
+    let arms = report.arms.iter().map(|a| {
+        Json::obj([
+            ("name", a.arm.name().into()),
+            ("time_to_recover_ep", ci_value(&a.ttr_ci)),
+            ("recovered_frac", a.recovered_frac.into()),
+            ("post_shift_regret", ci_value(&a.regret_ci)),
+            ("final_reward", ci_value(&a.final_reward_ci)),
+            ("post_shift_test_reward", ci_value(&a.test_reward_ci)),
+        ])
+    });
+    Json::obj([
+        ("n_seeds", report.n_seeds.into()),
+        ("shift_episode", report.shift_episode.into()),
+        ("window", report.window.into()),
+        ("confidence", report.confidence.into()),
+        ("random_post_shift_reward", report.random_reward_mean().into()),
+        ("arms", Json::arr(arms)),
+    ])
 }
 
 fn main() {
@@ -141,18 +71,10 @@ fn main() {
 
     let manifest =
         RunManifest::new("drift_probe").with_seed(cfg.sweep.root_seed).with_config_of(&cfg);
-    let bench = bench_json(&report, &manifest);
-    match std::fs::write(OUT, &bench) {
-        Ok(()) => eprintln!("# wrote {OUT}"),
-        Err(e) => {
-            eprintln!("# error: could not write {OUT}: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = publish_record(OUT, &manifest, record_body(&report)) {
+        eprintln!("# error: could not write {OUT}: {e}");
+        std::process::exit(1);
     }
-    if let Err(e) = manifest.write_next_to(OUT) {
-        eprintln!("# warning: could not write manifest: {e}");
-    }
-    append_history(HISTORY, &history_line(&report, &manifest));
 
     // Print the tables to stderr for the CI log.
     eprint!("{}", report.to_markdown());

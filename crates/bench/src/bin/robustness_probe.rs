@@ -2,8 +2,8 @@
 //! (algorithm × defense × adversary fraction, sign-flip coalitions on
 //! paired seeds), writes the full `ROBUSTNESS_RESULTS.json` / `.md`
 //! evidence under the output directory, summarizes the headline arms into
-//! `BENCH_robustness.json` at the repo root (plus an append-only history
-//! line), and exits nonzero if any resilience invariant is violated.
+//! `BENCH_robustness.json` at the repo root (plus the same record as one
+//! history line), and exits nonzero if any resilience invariant is violated.
 //!
 //! * `PFRL_SCALE=paper` switches to the heavy publication scale.
 //! * `PFRL_ROBUST_SEEDS=N` overrides the replication count (≥ 2).
@@ -14,107 +14,35 @@
 //!   (0, 0.25], the resilience gate auto-skips and only numerical-health
 //!   and no-resilience-tax invariants apply — the CI smoke profile.
 
-use pfrl_bench::{append_history, git_commit, set_run_seed};
-use pfrl_core::telemetry::RunManifest;
-use pfrl_eval::sweep::json::{ci, jf};
+use pfrl_bench::{publish_record, set_run_seed};
+use pfrl_core::telemetry::{Json, RunManifest};
+use pfrl_eval::sweep::json::ci_value;
 use pfrl_eval::{check_robustness_invariants, run_robustness, RobustnessConfig, RobustnessReport};
 use std::path::PathBuf;
 
 const OUT: &str = "BENCH_robustness.json";
-/// Append-only resilience history: one JSON line per probe run, keyed by
-/// the git commit so robustness regressions can be bisected.
-const HISTORY: &str = "BENCH_robustness.history.jsonl";
 
 /// The headline summary: one entry per arm with CIs and attack telemetry.
-fn bench_json(report: &RobustnessReport, manifest: &RunManifest) -> String {
-    let arms: Vec<String> = report
-        .arms
-        .iter()
-        .map(|a| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"algorithm\": \"{algo}\",\n",
-                    "      \"defense\": \"{defense}\",\n",
-                    "      \"fraction\": {frac},\n",
-                    "      \"final_reward\": {fin},\n",
-                    "      \"test_reward\": {test},\n",
-                    "      \"attacked_per_rep\": {att},\n",
-                    "      \"screened_per_rep\": {scr},\n",
-                    "      \"evicted_per_rep\": {evi}\n",
-                    "    }}"
-                ),
-                algo = a.arm.algorithm.name(),
-                defense = a.arm.defense.label,
-                frac = jf(a.arm.fraction),
-                fin = ci(&a.final_ci),
-                test = ci(&a.test_ci),
-                att = jf(a.attacked_per_rep),
-                scr = jf(a.screened_per_rep),
-                evi = jf(a.evicted_per_rep),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"run\": \"robustness_probe\",\n",
-            "  \"scale\": \"{scale}\",\n",
-            "  \"root_seed\": {seed},\n",
-            "  \"n_seeds\": {n},\n",
-            "  \"gate_fraction\": {gate},\n",
-            "  \"confidence\": {conf},\n",
-            "  \"ts_unix_s\": {ts},\n",
-            "  \"git_commit\": \"{commit}\",\n",
-            "  \"random_reward\": {floor},\n",
-            "  \"arms\": [\n{arms}\n  ]\n",
-            "}}\n"
-        ),
-        scale = report.scale,
-        seed = report.root_seed,
-        n = report.n_seeds,
-        gate = report.gate_fraction.map_or("null".to_string(), jf),
-        conf = report.confidence,
-        ts = manifest.created_unix_s,
-        commit = git_commit(),
-        floor = jf(report.random_reward_mean()),
-        arms = arms.join(",\n"),
-    )
-}
-
-/// The compact history line of one probe run, appended to [`HISTORY`].
-fn history_line(report: &RobustnessReport, manifest: &RunManifest) -> String {
-    let arms: Vec<String> = report
-        .arms
-        .iter()
-        .map(|a| {
-            format!(
-                concat!(
-                    "{{\"algorithm\": \"{}\", \"defense\": \"{}\", \"fraction\": {}, ",
-                    "\"final\": {}, \"test\": {}, \"screened\": {}}}"
-                ),
-                a.arm.algorithm.name(),
-                a.arm.defense.label,
-                jf(a.arm.fraction),
-                jf(a.final_mean()),
-                jf(a.test_mean()),
-                jf(a.screened_per_rep),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"scale\": \"{}\", ",
-            "\"root_seed\": {}, \"n_seeds\": {}, \"random_reward\": {}, \"arms\": [{}]}}\n"
-        ),
-        manifest.created_unix_s,
-        git_commit(),
-        report.scale,
-        report.root_seed,
-        report.n_seeds,
-        jf(report.random_reward_mean()),
-        arms.join(", "),
-    )
+fn record_body(report: &RobustnessReport) -> Json {
+    let arms = report.arms.iter().map(|a| {
+        Json::obj([
+            ("algorithm", a.arm.algorithm.name().into()),
+            ("defense", a.arm.defense.label.into()),
+            ("fraction", a.arm.fraction.into()),
+            ("final_reward", ci_value(&a.final_ci)),
+            ("test_reward", ci_value(&a.test_ci)),
+            ("attacked_per_rep", a.attacked_per_rep.into()),
+            ("screened_per_rep", a.screened_per_rep.into()),
+            ("evicted_per_rep", a.evicted_per_rep.into()),
+        ])
+    });
+    Json::obj([
+        ("n_seeds", report.n_seeds.into()),
+        ("gate_fraction", report.gate_fraction.into()),
+        ("confidence", report.confidence.into()),
+        ("random_reward", report.random_reward_mean().into()),
+        ("arms", Json::arr(arms)),
+    ])
 }
 
 fn main() {
@@ -156,18 +84,10 @@ fn main() {
 
     let manifest =
         RunManifest::new("robustness_probe").with_seed(cfg.sweep.root_seed).with_config_of(&cfg);
-    let bench = bench_json(&report, &manifest);
-    match std::fs::write(OUT, &bench) {
-        Ok(()) => eprintln!("# wrote {OUT}"),
-        Err(e) => {
-            eprintln!("# error: could not write {OUT}: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = publish_record(OUT, &manifest, record_body(&report)) {
+        eprintln!("# error: could not write {OUT}: {e}");
+        std::process::exit(1);
     }
-    if let Err(e) = manifest.write_next_to(OUT) {
-        eprintln!("# warning: could not write manifest: {e}");
-    }
-    append_history(HISTORY, &history_line(&report, &manifest));
 
     // Print the table to stderr for the CI log.
     eprint!("{}", report.to_markdown());

@@ -8,10 +8,10 @@
 //! served the decision, recorded once per decision the wave served (the
 //! definition `perfbench` uses). Its p50/p99 and decision throughput land
 //! in `BENCH_serve_latency.json` at the repo root, with an append-only
-//! history in `BENCH_serve_latency.history.jsonl` — the same conventions
-//! as `perf_probe`'s throughput snapshot.
+//! history in `BENCH_serve_latency.history.jsonl` — the same record
+//! conventions as every probe (see `pfrl_bench::publish_record`).
 
-use pfrl_bench::{append_history, git_commit};
+use pfrl_bench::publish_record;
 use pfrl_core::experiment::{federation_manifest, run_federation, Algorithm};
 use pfrl_core::fed::FedConfig;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
@@ -21,7 +21,8 @@ use pfrl_core::serve::{
 };
 use pfrl_core::sim::EnvConfig;
 use pfrl_core::telemetry::{
-    FanoutRecorder, InMemoryRecorder, JsonlSink, LogHistogram, MetricsSnapshot, Recorder, Telemetry,
+    FanoutRecorder, InMemoryRecorder, Json, JsonlSink, LogHistogram, MetricsSnapshot, Recorder,
+    Telemetry,
 };
 use pfrl_core::workloads::{DatasetId, TaskSpec};
 use std::sync::{Arc, Barrier};
@@ -29,7 +30,6 @@ use std::time::Instant;
 
 const SEED: u64 = 23;
 const OUT: &str = "BENCH_serve_latency.json";
-const HISTORY: &str = "BENCH_serve_latency.history.jsonl";
 /// Episodes served per session — enough decisions for stable quantiles.
 const EPISODES_PER_SESSION: usize = 3;
 
@@ -315,116 +315,38 @@ fn aggregate_probe(scale_samples: usize, rounds: usize) -> AggregateResult {
     }
 }
 
-fn aggregate_json(a: &AggregateResult) -> String {
-    let windows: Vec<String> = a.window_dps.iter().map(|d| format!("{d:.1}")).collect();
-    format!(
-        concat!(
-            "  \"aggregate\": {{\n",
-            "    \"shards\": {shards},\n",
-            "    \"worker_threads\": {shards},\n",
-            "    \"cpus\": {cpus},\n",
-            "    \"sessions\": {sessions},\n",
-            "    \"simd_tier\": \"{tier}\",\n",
-            "    \"measurement_windows\": {nwin},\n",
-            "    \"window_decisions_per_sec\": [{windows}],\n",
-            "    \"decisions\": {decisions},\n",
-            "    \"wall_s\": {wall_s:.4},\n",
-            "    \"decisions_per_sec\": {dps:.1},\n",
-            "    \"baseline_committed_dps\": {baseline:.1},\n",
-            "    \"baseline_provenance\": \"slowest single-shard row (MFPO) at commit 9e0a25d\",\n",
-            "    \"speedup_vs_committed_single_shard\": {speedup:.2}\n",
-            "  }}"
-        ),
-        shards = a.shards,
-        cpus = a.cpus,
-        sessions = a.sessions,
-        tier = a.tier,
-        nwin = WINDOWS,
-        windows = windows.join(", "),
-        decisions = a.decisions,
-        wall_s = a.wall_s,
-        dps = a.dps,
-        baseline = BASELINE_COMMITTED_DPS,
-        speedup = a.speedup,
-    )
+fn aggregate_json(a: &AggregateResult) -> Json {
+    Json::obj([
+        ("shards", a.shards.into()),
+        ("worker_threads", a.shards.into()),
+        ("cpus", a.cpus.into()),
+        ("sessions", a.sessions.into()),
+        ("simd_tier", a.tier.into()),
+        ("measurement_windows", WINDOWS.into()),
+        ("window_decisions_per_sec", Json::arr(a.window_dps.iter().copied())),
+        ("decisions", a.decisions.into()),
+        ("wall_s", a.wall_s.into()),
+        ("decisions_per_sec", a.dps.into()),
+        ("baseline_committed_dps", BASELINE_COMMITTED_DPS.into()),
+        ("baseline_provenance", "slowest single-shard row (MFPO) at commit 9e0a25d".into()),
+        ("speedup_vs_committed_single_shard", a.speedup.into()),
+    ])
 }
 
-fn alg_json(r: &ProbeResult) -> String {
+fn alg_json(r: &ProbeResult) -> Json {
     let decisions = r.snap.counter("serve/decisions");
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"name\": \"{name}\",\n",
-            "      \"sessions\": {sessions},\n",
-            "      \"decisions\": {decisions},\n",
-            "      \"wall_s\": {wall_s:.4},\n",
-            "      \"decisions_per_sec\": {dps:.1},\n",
-            "      \"p50_us\": {p50:.2},\n",
-            "      \"p99_us\": {p99:.2},\n",
-            "      \"admitted\": {admitted},\n",
-            "      \"rejected\": {rejected},\n",
-            "      \"stale\": {stale}\n",
-            "    }}"
-        ),
-        name = r.alg.name(),
-        sessions = r.sessions,
-        decisions = decisions,
-        wall_s = r.wall_s,
-        dps = decisions as f64 / r.wall_s.max(1e-9),
-        p50 = r.latency.p50(),
-        p99 = r.latency.p99(),
-        admitted = r.snap.counter("serve/admitted"),
-        rejected = r.snap.counter("serve/rejected"),
-        stale = r.snap.counter("serve/stale"),
-    )
-}
-
-/// The compact history line of one probe run, appended to [`HISTORY`].
-fn history_line(
-    results: &[ProbeResult],
-    aggregate: Option<&AggregateResult>,
-    manifest: &pfrl_core::telemetry::RunManifest,
-) -> String {
-    let algs: Vec<String> = results
-        .iter()
-        .map(|r| {
-            let decisions = r.snap.counter("serve/decisions");
-            format!(
-                concat!(
-                    "{{\"name\": \"{}\", \"decisions\": {}, \"decisions_per_sec\": {:.1}, ",
-                    "\"p50_us\": {:.2}, \"p99_us\": {:.2}}}"
-                ),
-                r.alg.name(),
-                decisions,
-                decisions as f64 / r.wall_s.max(1e-9),
-                r.latency.p50(),
-                r.latency.p99(),
-            )
-        })
-        .collect();
-    let agg = aggregate.map_or(String::new(), |a| {
-        format!(
-            concat!(
-                ", \"aggregate\": {{\"shards\": {}, \"cpus\": {}, \"sessions\": {}, ",
-                "\"simd_tier\": \"{}\", \"decisions_per_sec\": {:.1}, ",
-                "\"speedup_vs_committed_single_shard\": {:.2}}}"
-            ),
-            a.shards, a.cpus, a.sessions, a.tier, a.dps, a.speedup,
-        )
-    });
-    format!(
-        concat!(
-            "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"config_hash\": \"{:016x}\", ",
-            "\"scale\": \"{}\", \"seed\": {}, \"algorithms\": [{}]{}}}\n"
-        ),
-        manifest.created_unix_s,
-        git_commit(),
-        manifest.config_hash,
-        manifest.scale,
-        SEED,
-        algs.join(", "),
-        agg,
-    )
+    Json::obj([
+        ("name", r.alg.name().into()),
+        ("sessions", r.sessions.into()),
+        ("decisions", decisions.into()),
+        ("wall_s", r.wall_s.into()),
+        ("decisions_per_sec", (decisions as f64 / r.wall_s.max(1e-9)).into()),
+        ("p50_us", r.latency.p50().into()),
+        ("p99_us", r.latency.p99().into()),
+        ("admitted", r.snap.counter("serve/admitted").into()),
+        ("rejected", r.snap.counter("serve/rejected").into()),
+        ("stale", r.snap.counter("serve/stale").into()),
+    ])
 }
 
 fn main() {
@@ -466,32 +388,6 @@ fn main() {
         );
     }
 
-    let algorithms: Vec<String> = results.iter().map(alg_json).collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"run\": \"serve_probe\",\n",
-            "  \"scale\": \"{scale}\",\n",
-            "  \"clients\": 4,\n",
-            "  \"episodes_per_session\": {eps},\n",
-            "  \"seed\": {seed},\n",
-            "  \"algorithms\": [\n{algorithms}\n  ],\n",
-            "{aggregate}\n",
-            "}}\n"
-        ),
-        scale = if scale.is_paper { "paper" } else { "quick" },
-        eps = EPISODES_PER_SESSION,
-        seed = SEED,
-        algorithms = algorithms.join(",\n"),
-        aggregate = aggregate_json(&aggregate),
-    );
-    match std::fs::write(OUT, &json) {
-        Ok(()) => eprintln!("# wrote {OUT}"),
-        Err(e) => {
-            eprintln!("# error: could not write {OUT}: {e}");
-            std::process::exit(1);
-        }
-    }
     let manifest = federation_manifest(
         "serve_probe",
         Algorithm::PfrlDm,
@@ -500,10 +396,16 @@ fn main() {
         &PpoConfig::default(),
         &fed_cfg(),
     );
-    if let Err(e) = manifest.write_next_to(OUT) {
-        eprintln!("# warning: could not write manifest: {e}");
+    let body = Json::obj([
+        ("clients", 4u64.into()),
+        ("episodes_per_session", EPISODES_PER_SESSION.into()),
+        ("algorithms", Json::arr(results.iter().map(alg_json))),
+        ("aggregate", aggregate_json(&aggregate)),
+    ]);
+    if let Err(e) = publish_record(OUT, &manifest, body) {
+        eprintln!("# error: could not write {OUT}: {e}");
+        std::process::exit(1);
     }
-    append_history(HISTORY, &history_line(&results, Some(&aggregate), &manifest));
 
     if aggregate.speedup < MIN_AGG_SPEEDUP {
         eprintln!(

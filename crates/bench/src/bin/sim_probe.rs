@@ -16,17 +16,14 @@
 //! reward; the `event` arm must clear a ≥ 10× events/sec speedup over
 //! `stepped_scan` on sparse traces, or the probe exits nonzero.
 
-use pfrl_bench::{append_history, git_commit};
+use pfrl_bench::publish_record;
 use pfrl_core::sim::{Action, CloudEnv, EnvConfig, EnvDims, TimeEngine, VmSpec};
-use pfrl_core::telemetry::RunManifest;
+use pfrl_core::telemetry::{Json, RunManifest};
 use pfrl_core::workloads::{ArrivalStats, DatasetId, TaskSpec};
 use std::time::Instant;
 
 const SEED: u64 = 29;
 const OUT: &str = "BENCH_sim_events.json";
-/// Append-only throughput history: one JSON line per probe run, keyed by
-/// the git commit and the manifest config hash.
-const HISTORY: &str = "BENCH_sim_events.history.jsonl";
 /// Arrival-time dilation: sparse arrivals are where per-minute scanning
 /// burns time and the calendar jumps, so the gap between the arms is the
 /// quantity under test. 96x puts even the densest traces (Google, K8s)
@@ -67,21 +64,16 @@ impl ArmResult {
         self.decisions as f64 / self.wall_s.max(1e-9)
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "        {{\"name\": \"{}\", \"wall_s\": {:.4}, \"decisions\": {}, ",
-                "\"events\": {}, \"decisions_per_sec\": {:.0}, \"events_per_sec\": {:.0}, ",
-                "\"tasks_placed\": {}}}"
-            ),
-            self.name,
-            self.wall_s,
-            self.decisions,
-            self.events,
-            self.decisions_per_sec(),
-            self.events_per_sec(),
-            self.tasks_placed,
-        )
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("name", self.name.into()),
+            ("wall_s", self.wall_s.into()),
+            ("decisions", self.decisions.into()),
+            ("events", self.events.into()),
+            ("decisions_per_sec", self.decisions_per_sec().into()),
+            ("events_per_sec", self.events_per_sec().into()),
+            ("tasks_placed", self.tasks_placed.into()),
+        ])
     }
 }
 
@@ -174,26 +166,6 @@ fn probe_dataset(dataset: DatasetId, samples: usize, reps: usize) -> DatasetResu
     DatasetResult { dataset, stats, arms: vec![scan, ff, event], speedup }
 }
 
-fn history_line(results: &[DatasetResult], min_speedup: f64, manifest: &RunManifest) -> String {
-    let per_ds: Vec<String> = results
-        .iter()
-        .map(|r| format!("{{\"name\": \"{}\", \"speedup\": {:.1}}}", r.dataset.name(), r.speedup))
-        .collect();
-    format!(
-        concat!(
-            "{{\"ts_unix_s\": {}, \"git_commit\": \"{}\", \"config_hash\": \"{:016x}\", ",
-            "\"scale\": \"{}\", \"seed\": {}, \"min_speedup\": {:.1}, \"datasets\": [{}]}}\n"
-        ),
-        manifest.created_unix_s,
-        git_commit(),
-        manifest.config_hash,
-        manifest.scale,
-        SEED,
-        min_speedup,
-        per_ds.join(", "),
-    )
-}
-
 fn main() {
     let scale = pfrl_bench::start("sim_probe", "event-core scheduling throughput");
     pfrl_bench::set_run_seed(SEED);
@@ -209,61 +181,6 @@ fn main() {
         datasets.iter().map(|&ds| probe_dataset(ds, samples, reps)).collect();
     let min_speedup = results.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
 
-    let ds_json: Vec<String> = results
-        .iter()
-        .map(|r| {
-            let arms: Vec<String> = r.arms.iter().map(ArmResult::to_json).collect();
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"name\": \"{name}\",\n",
-                    "      \"tasks\": {tasks},\n",
-                    "      \"arrival_span\": {span},\n",
-                    "      \"max_arrival_gap\": {gap},\n",
-                    "      \"arrivals_per_step\": {rate:.4},\n",
-                    "      \"arms\": [\n{arms}\n      ],\n",
-                    "      \"speedup_event_vs_scan\": {speedup:.1}\n",
-                    "    }}"
-                ),
-                name = r.dataset.name(),
-                tasks = r.stats.count,
-                span = r.stats.span,
-                gap = r.stats.max_gap,
-                rate = r.stats.rate_per_step,
-                arms = arms.join(",\n"),
-                speedup = r.speedup,
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"run\": \"sim_probe\",\n",
-            "  \"scale\": \"{scale}\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"sparsity\": {sparsity},\n",
-            "  \"reps\": {reps},\n",
-            "  \"samples\": {samples},\n",
-            "  \"min_speedup_event_vs_scan\": {min_speedup:.1},\n",
-            "  \"datasets\": [\n{datasets}\n  ]\n",
-            "}}\n"
-        ),
-        scale = if scale.is_paper { "paper" } else { "quick" },
-        seed = SEED,
-        sparsity = SPARSITY,
-        reps = reps,
-        samples = samples,
-        min_speedup = min_speedup,
-        datasets = ds_json.join(",\n"),
-    );
-    match std::fs::write(OUT, &json) {
-        Ok(()) => eprintln!("# wrote {OUT}"),
-        Err(e) => {
-            eprintln!("# error: could not write {OUT}: {e}");
-            std::process::exit(1);
-        }
-    }
-
     let manifest = RunManifest::new("sim_probe").with_seed(SEED).with_config_of(&(
         dims(),
         env_cfg(true),
@@ -271,10 +188,28 @@ fn main() {
         samples,
         reps,
     ));
-    if let Err(e) = manifest.write_next_to(OUT) {
-        eprintln!("# warning: could not write manifest: {e}");
+    let datasets = results.iter().map(|r| {
+        Json::obj([
+            ("name", r.dataset.name().into()),
+            ("tasks", r.stats.count.into()),
+            ("arrival_span", r.stats.span.into()),
+            ("max_arrival_gap", r.stats.max_gap.into()),
+            ("arrivals_per_step", r.stats.rate_per_step.into()),
+            ("arms", Json::arr(r.arms.iter().map(ArmResult::to_json))),
+            ("speedup_event_vs_scan", r.speedup.into()),
+        ])
+    });
+    let body = Json::obj([
+        ("sparsity", SPARSITY.into()),
+        ("reps", reps.into()),
+        ("samples", samples.into()),
+        ("min_speedup_event_vs_scan", min_speedup.into()),
+        ("datasets", Json::arr(datasets)),
+    ]);
+    if let Err(e) = publish_record(OUT, &manifest, body) {
+        eprintln!("# error: could not write {OUT}: {e}");
+        std::process::exit(1);
     }
-    append_history(HISTORY, &history_line(&results, min_speedup, &manifest));
 
     if min_speedup < MIN_SPEEDUP {
         eprintln!(

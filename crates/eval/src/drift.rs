@@ -230,7 +230,7 @@ fn run_rep(cfg: &DriftConfig, arm: Algorithm, rep: usize) -> RepOutcome {
     let seed = drift_seed(cfg.sweep.root_seed, rep);
     let family = WorkloadFamily::Heterogeneous;
     let schedule = &cfg.schedule;
-    let fr = family.replication(schedule.samples, ARRIVAL_COMPRESSION, seed);
+    let fr = family.replication(schedule.samples, seed);
     let datasets = family.datasets();
     let fleets: Vec<Vec<VmSpec>> = fr.setups.iter().map(|s| s.vms.clone()).collect();
     let plan = rep_scenario(cfg, seed, datasets.len());

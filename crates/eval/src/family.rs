@@ -5,7 +5,7 @@
 //! thing varying across families is workload heterogeneity — exactly the
 //! axis the paper studies (Sec. 3).
 
-use crate::sweep::sample_compressed;
+use crate::sweep::{sample_compressed, ARRIVAL_COMPRESSION};
 use pfrl_core::fed::ClientSetup;
 use pfrl_core::sim::{EnvDims, VmSpec};
 use pfrl_core::stats::SeedStream;
@@ -102,8 +102,9 @@ impl WorkloadFamily {
     }
 
     /// Builds one replication: `samples` tasks per client from the family's
-    /// datasets, arrivals compressed by `compression` (divided — same
-    /// marginal task distributions, `compression`× the arrival rate), then
+    /// datasets, arrivals compressed by [`ARRIVAL_COMPRESSION`] (divided —
+    /// same marginal task distributions, that many times the arrival
+    /// rate), then
     /// a 60/40 train/test split. Everything is a pure function of `seed`
     /// (so the same seed reproduces identical pools across algorithms —
     /// the pairing invariant).
@@ -114,14 +115,13 @@ impl WorkloadFamily {
     /// optimal — no scheduler can measurably beat it. Densifying arrivals
     /// creates queueing, which is the regime where placement decisions
     /// (and therefore learning regressions) are visible at all.
-    pub fn replication(self, samples: usize, compression: u64, seed: u64) -> FamilyReplication {
-        assert!(compression >= 1, "compression must be >= 1");
+    pub fn replication(self, samples: usize, seed: u64) -> FamilyReplication {
         let stream = SeedStream::new(seed);
         let mut setups = Vec::with_capacity(4);
         let mut test_sets = Vec::with_capacity(4);
         for (k, (dataset, fleet)) in self.datasets().iter().zip(FLEETS).enumerate() {
             let pool_seed = stream.child("family-pool").index(k as u64).seed();
-            let pool = sample_compressed(*dataset, samples, compression, pool_seed);
+            let pool = sample_compressed(*dataset, samples, pool_seed);
             let split =
                 train_test_split(&pool, 0.6, stream.child("family-split").index(k as u64).seed());
             let vms: Vec<VmSpec> = fleet
@@ -146,7 +146,7 @@ impl WorkloadFamily {
                 .enumerate()
                 .map(|(k, dataset)| {
                     let mut model = WorkflowModel::scientific(dataset.model());
-                    model.mean_interarrival /= compression as f64;
+                    model.mean_interarrival /= ARRIVAL_COMPRESSION as f64;
                     model.sample(n_wf, stream.child("family-wf").index(k as u64).seed())
                 })
                 .collect();
@@ -181,19 +181,32 @@ mod tests {
 
     #[test]
     fn replication_is_a_pure_function_of_seed() {
-        let a = WorkloadFamily::Heterogeneous.replication(60, 1, 7);
-        let b = WorkloadFamily::Heterogeneous.replication(60, 1, 7);
-        let c = WorkloadFamily::Heterogeneous.replication(60, 1, 8);
+        let a = WorkloadFamily::Heterogeneous.replication(60, 7);
+        let b = WorkloadFamily::Heterogeneous.replication(60, 7);
+        let c = WorkloadFamily::Heterogeneous.replication(60, 8);
         for k in 0..4 {
             assert_eq!(a.setups[k].train_tasks, b.setups[k].train_tasks);
             assert_eq!(a.test_sets[k], b.test_sets[k]);
         }
         assert_ne!(a.setups[0].train_tasks, c.setups[0].train_tasks);
+        // Each client's pool is its dataset's raw sample with arrivals
+        // divided by the sweep-wide compression, then split 60/40.
+        let stream = SeedStream::new(7);
+        for (k, dataset) in WorkloadFamily::Heterogeneous.datasets().iter().enumerate() {
+            let mut pool =
+                dataset.model().sample(60, stream.child("family-pool").index(k as u64).seed());
+            for t in &mut pool {
+                t.arrival /= ARRIVAL_COMPRESSION;
+            }
+            let split =
+                train_test_split(&pool, 0.6, stream.child("family-split").index(k as u64).seed());
+            assert_eq!((&a.setups[k].train_tasks, &a.test_sets[k]), (&split.train, &split.test));
+        }
     }
 
     #[test]
     fn split_sizes_and_fleets_match_table2() {
-        let r = WorkloadFamily::Iso.replication(100, 1, 3);
+        let r = WorkloadFamily::Iso.replication(100, 3);
         assert_eq!(r.setups.len(), 4);
         assert_eq!(r.test_sets.len(), 4);
         let expected_vms = [5, 3, 4, 5];
@@ -211,7 +224,7 @@ mod tests {
 
     #[test]
     fn workflow_family_builds_valid_pools() {
-        let r = WorkloadFamily::Workflow.replication(80, 4, 5);
+        let r = WorkloadFamily::Workflow.replication(80, 5);
         let pools = r.workflows.as_ref().expect("workflow family carries pools");
         assert_eq!(pools.len(), 4);
         for pool in pools {
@@ -219,8 +232,8 @@ mod tests {
             assert!(pool.iter().all(|w| w.is_valid()));
         }
         // Deterministic in the seed; flat families carry no pools.
-        assert_eq!(r.workflows, WorkloadFamily::Workflow.replication(80, 4, 5).workflows);
-        assert!(WorkloadFamily::Heterogeneous.replication(40, 1, 5).workflows.is_none());
+        assert_eq!(r.workflows, WorkloadFamily::Workflow.replication(80, 5).workflows);
+        assert!(WorkloadFamily::Heterogeneous.replication(40, 5).workflows.is_none());
     }
 
     #[test]
@@ -236,7 +249,7 @@ mod tests {
     #[test]
     fn family_workloads_mostly_admissible() {
         for family in WorkloadFamily::ALL {
-            let r = family.replication(200, 1, 11);
+            let r = family.replication(200, 11);
             for s in &r.setups {
                 let fits =
                     |t: &TaskSpec| s.vms.iter().any(|v| t.vcpus <= v.vcpus && t.mem_gb <= v.mem_gb);

@@ -3,7 +3,7 @@
 //! tests.
 
 use crate::family::WorkloadFamily;
-use crate::sweep::{self, finite_mean, mean, paired_tests, ARRIVAL_COMPRESSION, PARTICIPATION_K};
+use crate::sweep::{self, finite_mean, mean, paired_tests, PARTICIPATION_K};
 use crate::EvalConfig;
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::replicate::replication_seed;
@@ -337,7 +337,7 @@ fn held_out_metrics(m: &EpisodeMetrics) -> [f64; 3] {
 fn run_rep(cfg: &EvalConfig, family: WorkloadFamily, alg: Algorithm, rep: usize) -> RepOutcome {
     let seed = family_seed(cfg.sweep.root_seed, family, rep);
     let schedule = &cfg.schedule;
-    let fr = family.replication(schedule.samples, ARRIVAL_COMPRESSION, seed);
+    let fr = family.replication(schedule.samples, seed);
     let fleets: Vec<Vec<VmSpec>> = fr.setups.iter().map(|s| s.vms.clone()).collect();
     // Workflow pools are drawn per episode through a seeded window sized to
     // keep episode work comparable to the flat families' task budget (a

@@ -28,7 +28,6 @@ use crate::family::WorkloadFamily;
 use crate::sweep::json::{ci, f64s, jf};
 use crate::sweep::{
     self, held_out_vs_random, mean, sample_compressed, two_vm_cohort, write_pair, Schedule, Sweep,
-    ARRIVAL_COMPRESSION,
 };
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::fed::{AttackPlan, RobustConfig};
@@ -306,12 +305,7 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
     // Every arm of a replication trains on the identical cohort while the
     // coalition poisons its uploads.
     let schedule = &cfg.schedule;
-    let setups = two_vm_cohort(
-        cfg.n_clients,
-        schedule.samples,
-        ARRIVAL_COMPRESSION,
-        stream.child("robust-pool"),
-    );
+    let setups = two_vm_cohort(cfg.n_clients, schedule.samples, stream.child("robust-pool"));
     let fleets: Vec<Vec<VmSpec>> = setups.iter().map(|s| s.vms.clone()).collect();
     let dims = WorkloadFamily::Heterogeneous.dims();
     // The coalition stream is per-replication: different reps draw
@@ -347,12 +341,7 @@ fn run_rep(cfg: &RobustnessConfig, arm: RobustnessArm, rep: usize) -> RepOutcome
         &fleets,
         |c| {
             let test_seed = stream.child("robust-test").index(c as u64).seed();
-            sample_compressed(
-                datasets[c % datasets.len()],
-                schedule.n_test(),
-                ARRIVAL_COMPRESSION,
-                test_seed,
-            )
+            sample_compressed(datasets[c % datasets.len()], schedule.n_test(), test_seed)
         },
         stream.child("robust-random"),
         |c| findings.push(format!("{arm}: client {c} placed zero held-out tasks in rep {rep}")),

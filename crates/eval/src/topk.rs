@@ -23,7 +23,7 @@ use pfrl_core::sim::EnvConfig;
 use pfrl_core::stats::{BootstrapCi, SeedStream};
 
 use crate::family::WorkloadFamily;
-use crate::sweep::{self, mean, two_vm_cohort, Schedule, Sweep, ARRIVAL_COMPRESSION};
+use crate::sweep::{self, mean, two_vm_cohort, Schedule, Sweep};
 
 /// One top-k equivalence run: cohort geometry, training schedule, and the
 /// CI the dense arm is reduced to.
@@ -100,7 +100,7 @@ fn arm_final(cfg: &TopkConfig, top_k: Option<usize>, rep: usize) -> f64 {
     let schedule = &cfg.schedule;
     let pools = SeedStream::new(seed).child("topk-pool");
     let mut runner = PfrlDmRunner::with_attention(
-        two_vm_cohort(cfg.n_clients, schedule.samples, ARRIVAL_COMPRESSION, pools),
+        two_vm_cohort(cfg.n_clients, schedule.samples, pools),
         WorkloadFamily::Heterogeneous.dims(),
         EnvConfig::default(),
         sweep::ppo_cfg(),

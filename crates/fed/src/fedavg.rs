@@ -163,7 +163,7 @@ impl Strategy for FedAvg {
     }
 
     /// Always probed: the loss probes are FedAvg state, not telemetry.
-    fn critic_loss(&self, clients: &[Client<PpoAgent>], _: &Telemetry) -> Option<f64> {
+    fn critic_loss(&self, clients: &mut [Client<PpoAgent>], _: &Telemetry) -> Option<f64> {
         mean_critic_loss(clients)
     }
 

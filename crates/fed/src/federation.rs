@@ -88,7 +88,7 @@ pub trait Strategy: Clone + Send + 'static {
     fn broadcast(&mut self, round: &mut Round<'_, Self::Agent>) -> u64;
     /// Mean critic loss across clients, observed before and after each
     /// aggregation. Default: not probed.
-    fn critic_loss(&self, _clients: &[Client<Self::Agent>], _t: &Telemetry) -> Option<f64> {
+    fn critic_loss(&self, _clients: &mut [Client<Self::Agent>], _t: &Telemetry) -> Option<f64> {
         None
     }
     /// Records per-round history once an aggregation is done.

@@ -103,7 +103,7 @@ impl Strategy for Mfpo {
         receivers * 4 * (self.server[0].len() + self.server[1].len()) as u64
     }
 
-    fn critic_loss(&self, clients: &[Client<PpoAgent>], t: &Telemetry) -> Option<f64> {
+    fn critic_loss(&self, clients: &mut [Client<PpoAgent>], t: &Telemetry) -> Option<f64> {
         t.is_enabled().then(|| mean_critic_loss(clients)).flatten()
     }
 

@@ -23,9 +23,11 @@ use crate::config::{ClientSetup, FedConfig};
 use crate::fault::{AbsenceReason, FaultState, Presence};
 use crate::federation::{param_bytes, Federation, Round, Strategy};
 use crate::robust::reduce_into;
-use crate::similarity::{attention_weights_into, mean_row_entropy};
+use crate::similarity::mean_row_entropy;
 use pfrl_nn::params::{apply_mixing_matrix_into, average_params};
-use pfrl_nn::{Activation, AttentionScratch, Mlp, MultiHeadConfig};
+use pfrl_nn::{
+    multi_head_attention_weights_into, Activation, AttentionScratch, Mlp, MultiHeadConfig,
+};
 use pfrl_rl::{DualCriticAgent, PpoConfig};
 use pfrl_sim::{EnvConfig, EnvDims};
 use pfrl_stats::seeding::SeedStream;
@@ -68,10 +70,10 @@ impl PfrlDm {
 }
 
 /// Mean public-critic MSE (`L_ψ`) across clients with buffered
-/// trajectories.
-fn mean_public_critic_loss(clients: &[Client<DualCriticAgent>]) -> Option<f64> {
+/// trajectories, each computed through its agent's scratch.
+fn mean_public_critic_loss(clients: &mut [Client<DualCriticAgent>]) -> Option<f64> {
     let (sum, count) = clients
-        .iter()
+        .iter_mut()
         .filter(|c| c.agent.has_trajectories())
         .fold((0.0f64, 0usize), |(sum, count), c| {
             (sum + c.agent.public_critic_loss() as f64, count + 1)
@@ -88,7 +90,9 @@ impl Strategy for PfrlDm {
 
     /// `ψ_G^{(0)}`: a fresh server-seeded critic, broadcast to everyone so
     /// the federation starts from a shared public critic (Algorithm 1,
-    /// lines 4–5).
+    /// lines 4–5). The attention's frozen projections depend only on the
+    /// critic's parameter count, so they are sampled here rather than in
+    /// the first round.
     fn init(&mut self, cfg: &FedConfig, clients: &mut [Client<DualCriticAgent>]) {
         let server_seed = SeedStream::new(cfg.seed).child("server").seed();
         let server_net = Mlp::new(
@@ -97,6 +101,7 @@ impl Strategy for PfrlDm {
             &mut SmallRng::seed_from_u64(server_seed),
         );
         self.global = server_net.flat_params();
+        self.scratch.sample_projections(&self.attention, self.global.len());
         for c in clients.iter_mut() {
             c.agent.receive_public_critic(&self.global);
         }
@@ -143,7 +148,7 @@ impl Strategy for PfrlDm {
     /// The `K×K` multi-head attention weights over the survivors' critics
     /// (Eq. 18).
     fn attend(&mut self, r: &mut Round<'_, DualCriticAgent>) {
-        attention_weights_into(
+        multi_head_attention_weights_into(
             &r.uploads[0],
             &self.attention,
             r.cfg.parallel,
@@ -188,7 +193,7 @@ impl Strategy for PfrlDm {
         param_bytes(&self.personalized) + global_receivers * 4 * self.global.len() as u64
     }
 
-    fn critic_loss(&self, clients: &[Client<DualCriticAgent>], t: &Telemetry) -> Option<f64> {
+    fn critic_loss(&self, clients: &mut [Client<DualCriticAgent>], t: &Telemetry) -> Option<f64> {
         t.is_enabled().then(|| mean_public_critic_loss(clients)).flatten()
     }
 

@@ -7,29 +7,13 @@
 //! by `fig11_13_weight_heatmaps` — is that only the attention weights
 //! concentrate on genuinely similar clients.
 
-use pfrl_nn::{
-    multi_head_attention_weights, multi_head_attention_weights_into, AttentionScratch, Mlp,
-    MultiHeadConfig,
-};
+use pfrl_nn::{multi_head_attention_weights, Mlp, MultiHeadConfig};
 use pfrl_tensor::{ops, Matrix};
 
 /// Multi-head attention weights over flat client parameter vectors
 /// (Eq. 18 applied to models-as-tokens; the PFRL-DM aggregator).
 pub fn attention_weights(client_params: &[Vec<f32>], cfg: &MultiHeadConfig) -> Matrix {
     multi_head_attention_weights(client_params, cfg)
-}
-
-/// [`attention_weights`] into a reusable workspace — the steady-state form
-/// the PFRL-DM aggregator calls every round; bitwise identical to the
-/// allocating form at any `parallel` setting.
-pub fn attention_weights_into(
-    client_params: &[Vec<f32>],
-    cfg: &MultiHeadConfig,
-    parallel: bool,
-    ws: &mut AttentionScratch,
-    out: &mut Matrix,
-) {
-    multi_head_attention_weights_into(client_params, cfg, parallel, ws, out);
 }
 
 /// Mean Shannon entropy (nats) of the rows of a row-stochastic weight

@@ -162,6 +162,36 @@ impl AttentionScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Samples the frozen per-head projections for `p`-long tokens under
+    /// `cfg`, unless the cached ones already match `(seed, p, d_k)`. Every
+    /// attention call runs this guard; calling it up front, once the token
+    /// length is known, moves the Gaussian sampling out of the first round.
+    ///
+    /// The Q and K projections are tied (W^Q_h = W^K_h): with independent
+    /// projections the expected score between any two tokens is zero and
+    /// carries no similarity signal; with tied Gaussian projections of
+    /// variance σ² the expected raw score is `d_k·σ²·cos(tᵢ, tⱼ)`, so each
+    /// head measures cosine similarity in its own random subspace.
+    pub fn sample_projections(&mut self, cfg: &MultiHeadConfig, p: usize) {
+        let proj_key = (cfg.seed, p, cfg.d_k);
+        if self.proj_key != Some(proj_key) {
+            self.heads.clear();
+            self.proj_key = Some(proj_key);
+        }
+        while self.heads.len() < cfg.heads.max(1) {
+            let h = self.heads.len();
+            let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(h as u64));
+            let wq = init::sample_gaussian(p, cfg.d_k, projection_sigma(p), &mut rng);
+            self.heads.push(HeadScratch { wq, ..HeadScratch::default() });
+        }
+    }
+}
+
+/// Standard deviation of the frozen projections' entries for `p`-long
+/// tokens.
+fn projection_sigma(p: usize) -> f32 {
+    1.0 / (p as f32).sqrt()
 }
 
 /// Generates the `K × K` row-stochastic attention weight matrix
@@ -217,24 +247,8 @@ pub fn multi_head_attention_weights_into(
     }
 
     let heads = cfg.heads.max(1);
-    let sigma = 1.0 / (p as f32).sqrt();
-    // Frozen random projections, derived per head from the seed and cached
-    // across rounds. The Q and K projections are tied (W^Q_h = W^K_h): with
-    // independent projections the expected score between any two tokens is
-    // zero and carries no similarity signal; with tied Gaussian projections
-    // of variance σ² the expected raw score is `d_k·σ²·cos(tᵢ, tⱼ)`, so
-    // each head measures cosine similarity in its own random subspace.
-    let proj_key = (cfg.seed, p, cfg.d_k);
-    if ws.proj_key != Some(proj_key) {
-        ws.heads.clear();
-        ws.proj_key = Some(proj_key);
-    }
-    while ws.heads.len() < heads {
-        let h = ws.heads.len();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(h as u64));
-        let wq = init::sample_gaussian(p, cfg.d_k, sigma, &mut rng);
-        ws.heads.push(HeadScratch { wq, ..HeadScratch::default() });
-    }
+    let sigma = projection_sigma(p);
+    ws.sample_projections(cfg, p);
 
     let tokens = &ws.tokens;
     // Undo the d_k·σ² expectation factor, then apply the temperature.

@@ -28,7 +28,6 @@ use pfrl_nn::AdamState;
 use pfrl_nn::{Adam, Mlp};
 use pfrl_sim::{EpisodeMetrics, SchedulingEnv};
 use pfrl_telemetry::Telemetry;
-use pfrl_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -331,13 +330,7 @@ impl DualCriticAgent {
         if self.fixed_alpha.is_some() || self.buffer.is_empty() {
             return;
         }
-        self.buffer.states_matrix_into(&mut self.scratch.states);
-        discounted_returns_into(
-            self.buffer.rewards(),
-            self.buffer.terminals(),
-            self.cfg.gamma,
-            &mut self.scratch.returns,
-        );
+        self.batch_into_scratch();
         self.alpha =
             batch_alpha(&mut self.local_critic, &mut self.public_critic, &mut self.scratch);
     }
@@ -347,7 +340,10 @@ impl DualCriticAgent {
     /// # Panics
     /// If no episode has been collected yet.
     pub fn critic_losses(&self) -> (f32, f32) {
-        let (states, returns) = self.loss_batch();
+        assert!(!self.buffer.is_empty(), "no trajectories buffered");
+        let states = self.buffer.states_matrix();
+        let returns =
+            discounted_returns(self.buffer.rewards(), self.buffer.terminals(), self.cfg.gamma);
         (
             critic_loss(&self.local_critic, &states, &returns),
             critic_loss(&self.public_critic, &states, &returns),
@@ -356,20 +352,28 @@ impl DualCriticAgent {
 
     /// `L_ψ` alone: the public critic's MSE on the retained trajectories,
     /// bit-for-bit `critic_losses().1` without the local critic's forward.
+    /// The batch is re-derived into the agent's scratch, as in
+    /// [`Self::refresh_alpha`], so a warm agent allocates nothing.
     ///
     /// # Panics
     /// If no episode has been collected yet.
-    pub fn public_critic_loss(&self) -> f32 {
-        let (states, returns) = self.loss_batch();
-        critic_loss(&self.public_critic, &states, &returns)
+    pub fn public_critic_loss(&mut self) -> f32 {
+        assert!(!self.buffer.is_empty(), "no trajectories buffered");
+        self.batch_into_scratch();
+        let AgentScratch { states, returns, value_mat2, .. } = &mut self.scratch;
+        critic_loss_into(&mut self.public_critic, states, returns, value_mat2)
     }
 
-    /// The buffered states and their discounted returns.
-    fn loss_batch(&self) -> (Matrix, Vec<f32>) {
-        assert!(!self.buffer.is_empty(), "no trajectories buffered");
-        let returns =
-            discounted_returns(self.buffer.rewards(), self.buffer.terminals(), self.cfg.gamma);
-        (self.buffer.states_matrix(), returns)
+    /// Re-derives the buffered states and their discounted returns into
+    /// the scratch batch.
+    fn batch_into_scratch(&mut self) {
+        self.buffer.states_matrix_into(&mut self.scratch.states);
+        discounted_returns_into(
+            self.buffer.rewards(),
+            self.buffer.terminals(),
+            self.cfg.gamma,
+            &mut self.scratch.returns,
+        );
     }
 
     /// Whether any trajectories are buffered (i.e. [`Self::critic_losses`]

@@ -13,6 +13,7 @@
 //!
 //! Non-finite floats serialize as `null` to keep every line valid JSON.
 
+use crate::json::escape_json;
 use crate::recorder::Recorder;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -61,23 +62,6 @@ impl JsonlSink {
 
 fn annotate(e: io::Error, path: &Path) -> io::Error {
     io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-}
-
-/// Escape a string for inclusion inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// JSON float: finite values as-is, otherwise `null`.
@@ -183,14 +167,6 @@ mod tests {
             assert!(l.contains(r#""ns":"#), "{l}");
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn escape_json_handles_control_chars() {
-        assert_eq!(escape_json("a\"b"), r#"a\"b"#);
-        assert_eq!(escape_json("a\\b"), r#"a\\b"#);
-        assert_eq!(escape_json("a\nb"), r#"a\nb"#);
-        assert_eq!(escape_json("a\u{0001}b"), "a\\u0001b");
     }
 
     #[test]

@@ -34,15 +34,18 @@
 //! `results/telemetry/<run>.jsonl` through a buffered writer, and
 //! [`FanoutRecorder`] tees to both. [`RunManifest`] records the who/how of a
 //! run (seed, `PFRL_SCALE`, thread count, algorithm, config hash) next to
-//! every result CSV.
+//! every result CSV, and heads every bench record. [`Json`] is the ordered
+//! JSON value both are rendered through.
 
 mod histogram;
+mod json;
 mod jsonl;
 mod manifest;
 mod recorder;
 mod span;
 
 pub use histogram::LogHistogram;
+pub use json::Json;
 pub use jsonl::JsonlSink;
 pub use manifest::{fnv1a, RunManifest};
 pub use recorder::{

@@ -3,7 +3,8 @@
 //! A counting `#[global_allocator]` wrapper tallies every allocation in the
 //! process. After a warmup pass has sized all workspaces, a full PPO
 //! train-episode + update, a dual-critic update, a public-critic receipt,
-//! and per-decision greedy inference must allocate **zero** bytes.
+//! the public-critic loss probe, and per-decision greedy inference must
+//! allocate **zero** bytes.
 //!
 //! Both measurements live in one `#[test]` because the counters are
 //! process-global and libtest runs sibling tests on parallel threads.
@@ -124,6 +125,16 @@ fn hot_paths_are_allocation_free_after_warmup() {
         (calls, bytes),
         (0, 0),
         "receive_public_critic allocated {calls} times / {bytes} bytes after warmup"
+    );
+
+    // `L_ψ`, as PFRL-DM probes it before and after every traced
+    // aggregation: the public critic's loss through the agent's scratch.
+    let (calls, bytes, loss) = count_allocs(|| dual.public_critic_loss());
+    assert!(loss.is_finite(), "public-critic loss is finite");
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "public_critic_loss allocated {calls} times / {bytes} bytes after warmup"
     );
 
     // Per-decision greedy inference: the exact observe → forward → mask →
