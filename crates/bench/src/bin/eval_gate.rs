@@ -19,8 +19,8 @@
 //!
 //! The stepped-vs-event simulator equivalence is not checked here: it is a
 //! bit-identity property, not a statistical one, and
-//! `tests/event_equivalence.rs` sweeps every dataset and both environment
-//! types in lockstep.
+//! `tests/event_equivalence.rs` sweeps every dataset and both workloads
+//! (flat and workflow episodes) in lockstep.
 
 use pfrl_bench::set_run_seed;
 use pfrl_core::experiment::federation_manifest;

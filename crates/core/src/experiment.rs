@@ -118,7 +118,7 @@ pub struct RunOptions {
     /// Workload drift + client churn scenario (see [`pfrl_scenario`]).
     pub scenario: Option<ScenarioBinding>,
     /// Per-client DAG workflow pools; switches every client to workflow
-    /// scheduling on [`pfrl_sim::DagCloudEnv`].
+    /// episodes ([`pfrl_sim::CloudEnv::reset_workflows`]).
     pub workflows: Option<Vec<Vec<Workflow>>>,
     /// Seeded per-episode window into each workflow pool (`None` replays
     /// the full pool each episode). Only meaningful with `workflows`.

@@ -29,8 +29,8 @@ pub enum WorkloadFamily {
     /// control the heterogeneity claims are measured against.
     Iso,
     /// The heterogeneous datasets rendered as DAG *workflows*: each client
-    /// trains on fork–join workflow pools (scheduled on
-    /// [`pfrl_core::sim::DagCloudEnv`]) generated over its dataset's task
+    /// trains on fork–join workflow pools (scheduled as workflow episodes,
+    /// [`pfrl_core::sim::CloudEnv::reset_workflows`]) generated over its dataset's task
     /// distribution. Opt-in: not part of the default matrix (see
     /// [`WorkloadFamily::in_default_matrix`]).
     Workflow,

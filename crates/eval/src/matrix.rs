@@ -7,14 +7,10 @@ use crate::sweep::{self, finite_mean, mean, paired_tests, PARTICIPATION_K};
 use crate::EvalConfig;
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::replicate::replication_seed;
-use pfrl_core::sim::{
-    run_blind_random, run_heuristic, CloudEnv, DagCloudEnv, EnvConfig, EpisodeMetrics,
-    HeuristicPolicy, VmSpec,
-};
+use pfrl_core::sim::{run_heuristic, CloudEnv, EnvConfig, EpisodeMetrics, HeuristicPolicy, VmSpec};
 use pfrl_core::stats::{BootstrapCi, SeedStream};
 use pfrl_core::telemetry::Telemetry;
-use pfrl_core::workloads::workflow::{DagTask, Workflow};
-use pfrl_core::workloads::TaskSpec;
+use pfrl_core::workloads::workflow::Workflow;
 
 /// The four reduced metrics of the comparison tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -305,16 +301,6 @@ pub fn run_matrix(cfg: &EvalConfig) -> EvalReport {
     }
 }
 
-/// Wraps one flat task as a single-node workflow submitted at the task's
-/// arrival — the same wrapping the DAG-mode clients apply to held-out
-/// test tasks, so the random floor is measured on identical inputs.
-fn singleton_workflow(t: &TaskSpec) -> Workflow {
-    Workflow {
-        tasks: vec![DagTask { spec: TaskSpec { id: 0, ..*t }, deps: vec![] }],
-        submit: t.arrival,
-    }
-}
-
 /// The seed of replication `rep` of `family`: the family's own labeled
 /// branch of the root, so families never share replication seeds with each
 /// other or with any per-client stream. Every algorithm at `rep` sees the
@@ -372,18 +358,16 @@ fn run_rep(cfg: &EvalConfig, family: WorkloadFamily, alg: Algorithm, rep: usize)
     for (k, test) in fr.test_sets.iter().enumerate() {
         if with_floor {
             let policy_seed = SeedStream::new(seed).child("random-dispatch").index(k as u64).seed();
-            // The workflow family evaluates on DagCloudEnv (held-out tasks
-            // wrapped as singleton workflows, exactly like the trained
+            // The workflow family evaluates on workflow episodes (held-out
+            // tasks wrapped as singleton workflows, exactly like the trained
             // clients' greedy eval), so its random floor must run there too.
-            let r = if family == WorkloadFamily::Workflow {
-                let mut env = DagCloudEnv::new(fr.dims, fleets[k].clone(), EnvConfig::default());
-                env.reset(test.iter().map(singleton_workflow).collect());
-                run_blind_random(&mut env, policy_seed)
+            let mut env = CloudEnv::new(fr.dims, fleets[k].clone(), EnvConfig::default());
+            if family == WorkloadFamily::Workflow {
+                env.reset_workflows(test.iter().copied().map(Workflow::singleton).collect());
             } else {
-                let mut env = CloudEnv::new(fr.dims, fleets[k].clone(), EnvConfig::default());
                 env.reset(test.clone());
-                run_heuristic(&mut env, HeuristicPolicy::BlindRandom, policy_seed)
-            };
+            }
+            let r = run_heuristic(&mut env, HeuristicPolicy::BlindRandom, policy_seed);
             for (acc, v) in random.iter_mut().zip(held_out_metrics(&r)) {
                 *acc += v;
             }
@@ -498,7 +482,8 @@ mod tests {
         let report = run_matrix(&cfg);
         assert_eq!(report.cells.len(), Metric::ALL.len());
         // DAG-env training must produce finite curves, and the random floor
-        // must actually schedule (it runs on DagCloudEnv for this family).
+        // must actually schedule (it runs on workflow episodes for this
+        // family).
         let cell = report
             .cell(Algorithm::FedAvg, WorkloadFamily::Workflow, Metric::FinalReward)
             .expect("workflow cell present");

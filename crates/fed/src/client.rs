@@ -9,10 +9,10 @@ use crate::snapshot::PolicySnapshot;
 use pfrl_nn::Mlp;
 use pfrl_rl::{DualCriticAgent, PpoAgent, PpoConfig};
 use pfrl_scenario::ClientTrace;
-use pfrl_sim::{CloudEnv, DagCloudEnv, EnvConfig, EnvDims, EpisodeMetrics, SchedulingEnv};
+use pfrl_sim::{CloudEnv, EnvConfig, EnvDims, EpisodeMetrics};
 use pfrl_stats::seeding::SeedStream;
 use pfrl_telemetry::Telemetry;
-use pfrl_workloads::workflow::{DagTask, Workflow};
+use pfrl_workloads::workflow::Workflow;
 use pfrl_workloads::TaskSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -30,10 +30,10 @@ pub trait FedAgent: Clone + Send {
     /// is an `Err`, not a panic.
     fn read_state(&mut self, r: &mut Reader<'_>) -> io::Result<()>;
     /// One training episode on a freshly reset env; returns total reward.
-    fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32;
+    fn train_episode(&mut self, env: &mut CloudEnv) -> f32;
     /// Greedy evaluation on a freshly reset env (`&mut self`: the agents
     /// route per-decision tensors through internal scratch buffers).
-    fn evaluate_episode(&mut self, env: &mut dyn SchedulingEnv) -> EpisodeMetrics;
+    fn evaluate_episode(&mut self, env: &mut CloudEnv) -> EpisodeMetrics;
     /// Routes the agent's metrics to `telemetry`. Default: ignore.
     fn set_telemetry(&mut self, _telemetry: Telemetry) {}
     /// The policy (actor) network — the part of the agent a serving
@@ -55,10 +55,10 @@ impl FedAgent for PpoAgent {
         self.restore(&snap);
         Ok(())
     }
-    fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32 {
+    fn train_episode(&mut self, env: &mut CloudEnv) -> f32 {
         self.train_one_episode(env)
     }
-    fn evaluate_episode(&mut self, env: &mut dyn SchedulingEnv) -> EpisodeMetrics {
+    fn evaluate_episode(&mut self, env: &mut CloudEnv) -> EpisodeMetrics {
         self.evaluate(env)
     }
     fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -84,10 +84,10 @@ impl FedAgent for DualCriticAgent {
         self.restore(&snap);
         Ok(())
     }
-    fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32 {
+    fn train_episode(&mut self, env: &mut CloudEnv) -> f32 {
         self.train_one_episode(env)
     }
-    fn evaluate_episode(&mut self, env: &mut dyn SchedulingEnv) -> EpisodeMetrics {
+    fn evaluate_episode(&mut self, env: &mut CloudEnv) -> EpisodeMetrics {
         self.evaluate(env)
     }
     fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -101,39 +101,6 @@ impl FedAgent for DualCriticAgent {
     }
 }
 
-/// The environment a client trains in: the paper's flat task stream, or the
-/// dependency-aware workflow environment (both share dims, action space, and
-/// reward shape, so the agents are oblivious to the choice).
-enum ClientEnv {
-    /// Flat per-task scheduling ([`CloudEnv`]).
-    Flat(CloudEnv),
-    /// DAG workflow scheduling ([`DagCloudEnv`]).
-    Dag(DagCloudEnv),
-}
-
-impl ClientEnv {
-    fn dims(&self) -> &EnvDims {
-        match self {
-            ClientEnv::Flat(e) => e.dims(),
-            ClientEnv::Dag(e) => e.dims(),
-        }
-    }
-
-    fn config(&self) -> &EnvConfig {
-        match self {
-            ClientEnv::Flat(e) => e.config(),
-            ClientEnv::Dag(e) => e.config(),
-        }
-    }
-
-    fn vm_specs(&self) -> &[pfrl_sim::VmSpec] {
-        match self {
-            ClientEnv::Flat(e) => e.vm_specs(),
-            ClientEnv::Dag(e) => e.vm_specs(),
-        }
-    }
-}
-
 /// One client of the federation.
 pub struct Client<A: FedAgent> {
     /// The learning agent.
@@ -142,7 +109,7 @@ pub struct Client<A: FedAgent> {
     pub name: String,
     /// Episode rewards collected so far.
     pub rewards: Vec<f64>,
-    env: ClientEnv,
+    env: CloudEnv,
     train_tasks: Vec<TaskSpec>,
     episode_seeds: SeedStream,
     episodes_done: usize,
@@ -150,9 +117,9 @@ pub struct Client<A: FedAgent> {
     /// Non-stationary trace override: when set, episode tasks come from the
     /// scenario plan (pure in `(client, episode)`) instead of the pool.
     scenario: Option<ClientTrace>,
-    /// Workflow pool (DAG mode only).
+    /// Workflow pool; non-empty switches the client to workflow episodes.
     workflows: Vec<Workflow>,
-    /// Per-episode workflow window (DAG mode; `None` = full pool).
+    /// Per-episode workflow window (workflow mode; `None` = full pool).
     workflows_per_episode: Option<usize>,
 }
 
@@ -174,7 +141,7 @@ impl<A: FedAgent> Client<A> {
             agent,
             name: setup.name,
             rewards: Vec::new(),
-            env: ClientEnv::Flat(env),
+            env,
             train_tasks: setup.train_tasks,
             episode_seeds,
             episodes_done: 0,
@@ -188,10 +155,7 @@ impl<A: FedAgent> Client<A> {
     /// Routes this client's agent and environment metrics to `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.agent.set_telemetry(telemetry.clone());
-        match &mut self.env {
-            ClientEnv::Flat(env) => env.set_telemetry(telemetry),
-            ClientEnv::Dag(env) => env.set_telemetry(telemetry),
-        }
+        self.env.set_telemetry(telemetry);
     }
 
     /// Installs a scenario trace: from now on episode tasks are sampled
@@ -201,16 +165,17 @@ impl<A: FedAgent> Client<A> {
         self.scenario = Some(trace);
     }
 
-    /// Switches the client to the dependency-aware workflow environment,
-    /// training on windows of `pool` (same dims/config/VMs as the flat env
-    /// it replaces). `per_episode` bounds the workflows per episode window
-    /// (`None` = the whole pool every episode).
+    /// Switches the client to dependency-aware workflow episodes, training
+    /// on windows of `pool`. `per_episode` bounds the workflows per episode
+    /// window (`None` = the whole pool every episode).
+    ///
+    /// The switch leaves the environment on a noop telemetry handle, as the
+    /// fresh workflow environment it once built did, so a workflow run
+    /// records no `sim/*` metrics unless [`Self::set_telemetry`] follows;
+    /// the pinned workflow fingerprints are recorded that way.
     pub fn use_workflows(&mut self, pool: Vec<Workflow>, per_episode: Option<usize>) {
         assert!(!pool.is_empty(), "client {} has no workflows", self.name);
-        let dims = *self.env.dims();
-        let cfg = *self.env.config();
-        let vms = self.env.vm_specs().to_vec();
-        self.env = ClientEnv::Dag(DagCloudEnv::new(dims, vms, cfg));
+        self.env.set_telemetry(Telemetry::noop());
         self.workflows = pool;
         self.workflows_per_episode = per_episode;
     }
@@ -259,7 +224,7 @@ impl<A: FedAgent> Client<A> {
         }
     }
 
-    /// Draws this episode's workflow window (DAG mode): the same seeded
+    /// Draws this episode's workflow window (workflow mode): the same seeded
     /// windowing discipline as [`Self::episode_tasks`], with submission
     /// times rebased to 0.
     fn episode_workflows(&self, episode: usize) -> Vec<Workflow> {
@@ -286,17 +251,12 @@ impl<A: FedAgent> Client<A> {
     pub fn run_episodes(&mut self, n: usize) {
         for _ in 0..n {
             let episode = self.episodes_done;
-            let r = if matches!(self.env, ClientEnv::Dag(_)) {
-                let workflows = self.episode_workflows(episode);
-                let ClientEnv::Dag(env) = &mut self.env else { unreachable!() };
-                env.reset(workflows);
-                self.agent.train_episode(env)
+            if self.workflows.is_empty() {
+                self.env.reset(self.episode_tasks(episode));
             } else {
-                let tasks = self.episode_tasks(episode);
-                let ClientEnv::Flat(env) = &mut self.env else { unreachable!() };
-                env.reset(tasks);
-                self.agent.train_episode(env)
-            };
+                self.env.reset_workflows(self.episode_workflows(episode));
+            }
+            let r = self.agent.train_episode(&mut self.env);
             self.rewards.push(r as f64);
             self.episodes_done += 1;
         }
@@ -305,27 +265,16 @@ impl<A: FedAgent> Client<A> {
     /// Greedy evaluation of the current policy on an arbitrary task set
     /// (e.g. a held-out or hybrid test set). Borrows the tasks: the one
     /// copy the environment needs (it re-sorts by arrival) happens here,
-    /// not at every call site. In DAG mode the tasks run as singleton
+    /// not at every call site. In workflow mode the tasks run as singleton
     /// workflows, so flat- and workflow-trained policies share one
     /// evaluation pipeline.
     pub fn evaluate_on(&mut self, tasks: &[TaskSpec]) -> EpisodeMetrics {
-        match &mut self.env {
-            ClientEnv::Flat(env) => {
-                env.reset(tasks.to_vec());
-                self.agent.evaluate_episode(env)
-            }
-            ClientEnv::Dag(env) => {
-                let workflows = tasks
-                    .iter()
-                    .map(|t| Workflow {
-                        tasks: vec![DagTask { spec: TaskSpec { id: 0, ..*t }, deps: vec![] }],
-                        submit: t.arrival,
-                    })
-                    .collect();
-                env.reset(workflows);
-                self.agent.evaluate_episode(env)
-            }
+        if self.workflows.is_empty() {
+            self.env.reset(tasks.to_vec());
+        } else {
+            self.env.reset_workflows(tasks.iter().copied().map(Workflow::singleton).collect());
         }
+        self.agent.evaluate_episode(&mut self.env)
     }
 
     /// Exports the client's current greedy policy plus its environment

@@ -9,7 +9,7 @@ use crate::returns::{
 };
 use pfrl_nn::AdamState;
 use pfrl_nn::{Activation, Adam, Mlp, TransposedBatch};
-use pfrl_sim::{Action, EpisodeMetrics, SchedulingEnv};
+use pfrl_sim::{Action, CloudEnv, EpisodeMetrics};
 use pfrl_telemetry::Telemetry;
 use pfrl_tensor::Matrix;
 use rand::rngs::SmallRng;
@@ -67,11 +67,10 @@ pub(crate) fn load_states(buffer: &RolloutBuffer, scratch: &mut AgentScratch) {
 
 /// Runs one episode with `actor`, filling `buffer`; returns the total
 /// (undiscounted) episode reward. Shared by both agent types and by both
-/// environment kinds (flat and DAG). All per-decision tensors live in
-/// `scratch`.
-pub(crate) fn collect_episode_opts<E: SchedulingEnv + ?Sized>(
+/// workloads (flat and DAG). All per-decision tensors live in `scratch`.
+pub(crate) fn collect_episode_opts(
     actor: &mut Mlp,
-    env: &mut E,
+    env: &mut CloudEnv,
     buffer: &mut RolloutBuffer,
     rng: &mut SmallRng,
     mask_actions: bool,
@@ -104,9 +103,9 @@ pub(crate) fn collect_episode_opts<E: SchedulingEnv + ?Sized>(
 }
 
 /// Greedy (argmax) rollout; returns final episode metrics.
-pub(crate) fn evaluate_greedy_opts<E: SchedulingEnv + ?Sized>(
+pub(crate) fn evaluate_greedy_opts(
     actor: &mut Mlp,
-    env: &mut E,
+    env: &mut CloudEnv,
     mask_actions: bool,
     scratch: &mut AgentScratch,
 ) -> EpisodeMetrics {
@@ -319,9 +318,9 @@ impl PpoAgent {
 
     /// Collects one episode on a freshly reset `env`, performs a PPO update
     /// once `episodes_per_update` episodes are batched, and returns the
-    /// total episode reward. Works on any [`SchedulingEnv`] with matching
-    /// dims (flat or DAG).
-    pub fn train_one_episode<E: SchedulingEnv + ?Sized>(&mut self, env: &mut E) -> f32 {
+    /// total episode reward. Works on either workload (flat or DAG) of a
+    /// [`CloudEnv`] with matching dims.
+    pub fn train_one_episode(&mut self, env: &mut CloudEnv) -> f32 {
         if self.episodes_buffered >= self.cfg.episodes_per_update {
             self.buffer.clear();
             self.episodes_buffered = 0;
@@ -428,7 +427,7 @@ impl PpoAgent {
     /// Greedy evaluation episode on a freshly reset `env`. Takes `&mut self`
     /// to route per-decision tensors through the agent's scratch buffers;
     /// no learnable state changes.
-    pub fn evaluate<E: SchedulingEnv + ?Sized>(&mut self, env: &mut E) -> EpisodeMetrics {
+    pub fn evaluate(&mut self, env: &mut CloudEnv) -> EpisodeMetrics {
         evaluate_greedy_opts(&mut self.actor, env, self.cfg.mask_invalid_actions, &mut self.scratch)
     }
 
@@ -507,7 +506,7 @@ impl PpoAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfrl_sim::{CloudEnv, EnvConfig, EnvDims, HeuristicPolicy, VmSpec};
+    use pfrl_sim::{EnvConfig, EnvDims, HeuristicPolicy, VmSpec};
     use pfrl_workloads::DatasetId;
 
     fn small_env() -> CloudEnv {

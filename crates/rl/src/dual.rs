@@ -26,7 +26,7 @@ use crate::returns::{
 };
 use pfrl_nn::AdamState;
 use pfrl_nn::{Adam, Mlp};
-use pfrl_sim::{EpisodeMetrics, SchedulingEnv};
+use pfrl_sim::{CloudEnv, EpisodeMetrics};
 use pfrl_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -197,7 +197,7 @@ impl DualCriticAgent {
     /// Collects one episode on a freshly reset `env`, runs the dual-critic
     /// PPO update once `episodes_per_update` episodes are batched, and
     /// returns the total episode reward.
-    pub fn train_one_episode<E: SchedulingEnv + ?Sized>(&mut self, env: &mut E) -> f32 {
+    pub fn train_one_episode(&mut self, env: &mut CloudEnv) -> f32 {
         if self.episodes_buffered >= self.cfg.episodes_per_update {
             self.buffer.clear();
             self.episodes_buffered = 0;
@@ -385,7 +385,7 @@ impl DualCriticAgent {
     /// Greedy evaluation episode on a freshly reset `env`. Takes `&mut self`
     /// to route per-decision tensors through the agent's scratch buffers;
     /// no learnable state changes.
-    pub fn evaluate<E: SchedulingEnv + ?Sized>(&mut self, env: &mut E) -> EpisodeMetrics {
+    pub fn evaluate(&mut self, env: &mut CloudEnv) -> EpisodeMetrics {
         evaluate_greedy_opts(&mut self.actor, env, self.cfg.mask_invalid_actions, &mut self.scratch)
     }
 
@@ -450,7 +450,7 @@ impl DualCriticAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfrl_sim::{CloudEnv, EnvConfig, EnvDims, VmSpec};
+    use pfrl_sim::{EnvConfig, EnvDims, VmSpec};
     use pfrl_workloads::DatasetId;
 
     fn small_env() -> CloudEnv {

@@ -82,32 +82,12 @@ impl HeuristicPolicy {
     }
 }
 
-/// Runs one full episode of `policy` on an already-reset environment and
-/// returns the final metrics.
+/// Runs one full episode of `policy` on an already-reset environment (a
+/// flat or a workflow episode) and returns the final metrics.
 pub fn run_heuristic(env: &mut CloudEnv, policy: HeuristicPolicy, seed: u64) -> EpisodeMetrics {
     let mut rng = SmallRng::seed_from_u64(seed);
     while !env.is_done() {
         let action = policy.decide(env, &mut rng);
-        env.step(action);
-    }
-    env.metrics()
-}
-
-/// [`HeuristicPolicy::BlindRandom`] over any [`crate::SchedulingEnv`]: a
-/// uniform draw over the full action space each step, no feasibility check.
-/// On a [`CloudEnv`] this consumes the RNG exactly like
-/// `run_heuristic(_, BlindRandom, seed)`, so flat-family baselines keep
-/// their historical values; on [`crate::DagCloudEnv`] it is the only random
-/// floor available (the feasibility-aware heuristics need head-task access
-/// the trait does not expose).
-pub fn run_blind_random<E: crate::SchedulingEnv + ?Sized>(
-    env: &mut E,
-    seed: u64,
-) -> EpisodeMetrics {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    while !env.is_done() {
-        let a = rng.gen_range(0..env.dims().action_dim());
-        let action = if a == env.dims().max_vms { Action::Wait } else { Action::Vm(a) };
         env.step(action);
     }
     env.metrics()

@@ -1,12 +1,16 @@
 //! The RL environment: episode loop, action semantics, and reward function
-//! (Sec. 4.2, Eqs. 2 and 6–9).
+//! (Sec. 4.2, Eqs. 2 and 6–9), over either workload an episode can carry —
+//! a flat arrival trace ([`CloudEnv::reset`]) or a DAG workflow set
+//! ([`CloudEnv::reset_workflows`], see [`crate::dag`]).
 
 use crate::cluster::Cluster;
 use crate::config::{EnvConfig, EnvDims};
+use crate::dag::Workflows;
 use crate::events::{Event, EventCalendar, EventKind, SimClock, TimeDriven, TimeEngine};
 use crate::metrics::{compute_metrics, EpisodeMetrics, TaskRecord};
 use crate::vm::VmSpec;
 use pfrl_telemetry::Telemetry;
+use pfrl_workloads::workflow::Workflow;
 use pfrl_workloads::TaskSpec;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -56,6 +60,21 @@ pub struct StepOutcome {
     pub placed: bool,
 }
 
+/// What decides when an episode's tasks become ready — the only part of
+/// the MDP that differs between the two workloads.
+#[derive(Debug, Clone)]
+enum Workload {
+    /// A flat arrival trace (the paper's setting): `tasks` is
+    /// arrival-sorted and a task is ready at its arrival.
+    Trace {
+        /// Index of the next task to arrive.
+        next_arrival: usize,
+    },
+    /// A DAG workflow set: a task is ready once all its dependencies have
+    /// completed.
+    Workflows(Workflows),
+}
+
 /// The cloud task-scheduling environment of one client.
 #[derive(Debug, Clone)]
 pub struct CloudEnv {
@@ -63,18 +82,23 @@ pub struct CloudEnv {
     cfg: EnvConfig,
     vm_specs: Vec<VmSpec>,
     cluster: Cluster,
-    /// Episode trace, arrival-sorted.
+    /// Episode tasks: the arrival-sorted trace, or the flattened workflow
+    /// bodies (`TaskSpec::id` is then the global index).
     tasks: Vec<TaskSpec>,
-    next_arrival: usize,
+    workload: Workload,
+    /// Ready tasks, FIFO. A workflow task's `arrival` is rewritten to its
+    /// readiness step, so response/reward accounting is the same for both
+    /// workloads.
     queue: VecDeque<TaskSpec>,
     /// The single time authority (event calendar or stepped reference).
     clock: SimClock,
-    /// Logical events (arrivals + completions) applied this episode —
-    /// identical across engines by construction.
+    /// Logical events (arrivals or root releases + completions) applied
+    /// this episode — identical across engines by construction.
     events: u64,
     records: Vec<TaskRecord>,
     /// Tasks rejected at admission because they exceed every VM's total
-    /// capacity (can occur with hybrid foreign workloads, Sec. 5.3).
+    /// capacity (can occur with hybrid foreign workloads, Sec. 5.3); in a
+    /// workflow episode also their descendants, which can never be ready.
     rejected: usize,
     decisions: usize,
     total_reward: f64,
@@ -116,7 +140,7 @@ impl CloudEnv {
             vm_specs: vms,
             cluster,
             tasks: Vec::new(),
-            next_arrival: 0,
+            workload: Workload::Trace { next_arrival: 0 },
             queue: VecDeque::new(),
             clock: SimClock::default(),
             events: 0,
@@ -154,18 +178,55 @@ impl CloudEnv {
         self.clock.engine()
     }
 
-    /// Logical events (arrivals incl. admission rejections + completions)
-    /// applied this episode. Both engines report identical counts.
+    /// Logical events (arrivals or root releases, incl. admission
+    /// rejections, + completions) applied this episode. Both engines report
+    /// identical counts.
     pub fn events(&self) -> u64 {
         self.events
     }
 
-    /// Starts a new episode over `tasks` (will be arrival-sorted).
+    /// Starts a new episode over the flat trace `tasks` (will be
+    /// arrival-sorted).
     pub fn reset(&mut self, mut tasks: Vec<TaskSpec>) {
         tasks.sort_by_key(|t| t.arrival);
-        self.cluster.reset();
+        self.clear_episode();
         self.tasks = tasks;
-        self.next_arrival = 0;
+        self.workload = Workload::Trace { next_arrival: 0 };
+        // Arrivals are scheduled lazily, one pending event at a time: the
+        // calendar holds at most (1 arrival + running completions) events.
+        if let Some(first) = self.tasks.first() {
+            self.clock.schedule(first.arrival, EventKind::Arrival { index: 0 });
+        }
+        self.start_episode();
+    }
+
+    /// Starts a new episode over a batch of DAG workflows: tasks enter the
+    /// queue only once all their dependencies have completed, and a task
+    /// that fits no VM is rejected together with its descendants.
+    ///
+    /// # Panics
+    /// If a workflow violates the DAG invariants ([`Workflow::is_valid`]).
+    pub fn reset_workflows(&mut self, workflows: Vec<Workflow>) {
+        self.clear_episode();
+        let mut dag =
+            match std::mem::replace(&mut self.workload, Workload::Trace { next_arrival: 0 }) {
+                Workload::Workflows(dag) => dag,
+                Workload::Trace { .. } => Workflows::default(),
+            };
+        self.rejected = dag.load(&workflows, &self.vm_specs, &mut self.tasks);
+        // Roots release at their workflow submission times, scheduled
+        // lazily like arrivals: the calendar holds at most (1 pending root
+        // + running completions) events.
+        if let Some(gid) = dag.first_root() {
+            self.clock.schedule(self.tasks[gid].arrival, EventKind::Release { gid: gid as u32 });
+        }
+        self.workload = Workload::Workflows(dag);
+        self.start_episode();
+    }
+
+    /// Clears the per-episode state both resets share.
+    fn clear_episode(&mut self) {
+        self.cluster.reset();
         self.queue.clear();
         self.clock.reset();
         self.events = 0;
@@ -174,18 +235,23 @@ impl CloudEnv {
         self.decisions = 0;
         self.total_reward = 0.0;
         self.truncated = false;
-        // Arrivals are scheduled lazily, one pending event at a time: the
-        // calendar holds at most (1 arrival + running completions) events.
-        if let Some(first) = self.tasks.first() {
-            self.clock.schedule(first.arrival, EventKind::Arrival { index: 0 });
-        }
-        self.advance(Advance::Due); // apply t = 0 arrivals
-        self.done = self.queue.is_empty() && self.next_arrival >= self.tasks.len();
-        // An empty-queue start with pending future arrivals: skip dead time.
+    }
+
+    /// Applies the events due at t = 0 and, on an empty-queue start with
+    /// pending future tasks, skips the dead time to the first one.
+    fn start_episode(&mut self) {
+        self.advance(Advance::Due);
+        self.done = self.all_settled();
         if !self.done && self.queue.is_empty() {
             self.advance(Advance::Auto);
         }
         self.episode_started = self.telemetry.is_enabled().then(Instant::now);
+    }
+
+    /// Whether every episode task is placed or rejected — nothing is queued
+    /// or still to come.
+    fn all_settled(&self) -> bool {
+        self.records.len() + self.rejected == self.tasks.len()
     }
 
     /// Environment dims.
@@ -339,7 +405,14 @@ impl CloudEnv {
         };
 
         self.total_reward += reward as f64;
-        if self.queue.is_empty() && self.next_arrival >= self.tasks.len() {
+        if self.all_settled() {
+            if let Workload::Workflows(_) = self.workload {
+                // Register every completion, so the workflow makespans are
+                // final when the episode ends.
+                while self.cluster.running_count() > 0 {
+                    self.advance(Advance::Next);
+                }
+            }
             self.done = true;
         }
         if self.decisions >= self.cfg.max_decisions && !self.done {
@@ -379,7 +452,9 @@ impl CloudEnv {
     /// Episode metrics (valid once the episode is done; callable anytime for
     /// diagnostics on the records so far).
     pub fn metrics(&self) -> EpisodeMetrics {
-        let unplaced = self.queue.len() + (self.tasks.len() - self.next_arrival) + self.rejected;
+        // Unplaced: every task never recorded — queued, still to come, or
+        // rejected at admission.
+        let unplaced = self.tasks.len() - self.records.len();
         compute_metrics(
             &self.records,
             &self.vm_specs,
@@ -397,6 +472,16 @@ impl CloudEnv {
     /// Number of admission-rejected tasks this episode.
     pub fn rejected(&self) -> usize {
         self.rejected
+    }
+
+    /// Makespan of each workflow of a workflow episode (submission → last
+    /// task completion), `None` for a workflow with unfinished tasks; empty
+    /// for a flat episode.
+    pub fn workflow_makespans(&self) -> Vec<Option<u64>> {
+        match &self.workload {
+            Workload::Trace { .. } => Vec::new(),
+            Workload::Workflows(dag) => dag.makespans(&self.tasks),
+        }
     }
 
     // ---- internals -------------------------------------------------------
@@ -442,12 +527,16 @@ impl CloudEnv {
     fn advance(&mut self, mode: Advance) {
         let from = self.clock.now();
         let fast_forward = self.cfg.fast_forward;
-        let CloudEnv { clock, cluster, tasks, vm_specs, queue, next_arrival, rejected, .. } = self;
-        let mut timeline = FlatTimeline { cluster, tasks, vm_specs, queue, next_arrival, rejected };
-        let n = match mode {
-            Advance::One => clock.advance_one(&mut timeline),
-            Advance::Auto => clock.advance_auto(fast_forward, &mut timeline),
-            Advance::Due => clock.drain_due(&mut timeline),
+        let CloudEnv { clock, cluster, tasks, vm_specs, queue, rejected, workload, .. } = self;
+        let n = match workload {
+            Workload::Trace { next_arrival } => {
+                let mut timeline =
+                    FlatTimeline { cluster, tasks, vm_specs, queue, next_arrival, rejected };
+                mode.drive(clock, fast_forward, &mut timeline)
+            }
+            Workload::Workflows(dag) => {
+                mode.drive(clock, fast_forward, &mut dag.timeline(cluster, tasks, queue))
+            }
         };
         self.events += n;
         let jump = self.clock.now() - from;
@@ -457,7 +546,8 @@ impl CloudEnv {
     }
 }
 
-/// Clock-movement modes of the flat environment.
+/// Clock-movement modes.
+#[derive(Debug, Clone, Copy)]
 enum Advance {
     /// Exactly one step (denials, void slots, lazy waits).
     One,
@@ -465,15 +555,37 @@ enum Advance {
     Auto,
     /// Apply events due at the current time without advancing (reset).
     Due,
+    /// Jump to the next pending event (a workflow episode's end-of-episode
+    /// completion drain).
+    Next,
+}
+
+impl Advance {
+    /// Moves `clock` over `timeline` by this mode; returns events applied.
+    fn drive<H: TimeDriven>(
+        self,
+        clock: &mut SimClock,
+        fast_forward: bool,
+        timeline: &mut H,
+    ) -> u64 {
+        match self {
+            Advance::One => clock.advance_one(timeline),
+            Advance::Auto => clock.advance_auto(fast_forward, timeline),
+            Advance::Due => clock.drain_due(timeline),
+            Advance::Next => {
+                clock.advance_next(timeline).expect("running tasks imply a pending completion")
+            }
+        }
+    }
 }
 
 /// Whether `t` fits at least one VM at full (empty) capacity — the
 /// admission-control predicate.
-fn admissible(vm_specs: &[VmSpec], t: &TaskSpec) -> bool {
+pub(crate) fn admissible(vm_specs: &[VmSpec], t: &TaskSpec) -> bool {
     vm_specs.iter().any(|s| t.vcpus <= s.vcpus && t.mem_gb <= s.mem_gb)
 }
 
-/// Disjoint-field view of the flat environment's time-dependent state:
+/// Disjoint-field view of a flat episode's time-dependent state:
 /// what the [`SimClock`] drives. The event path handles one typed event per
 /// call; the scan path reproduces the legacy per-advance sweeps.
 struct FlatTimeline<'a> {

@@ -1,5 +1,5 @@
 //! The discrete-event core: a typed event calendar and the single time
-//! authority ([`SimClock`]) that both environments advance through.
+//! authority ([`SimClock`]) that both workloads' timelines advance through.
 //!
 //! The calendar is a binary min-heap of typed events — task [`EventKind::Arrival`],
 //! running-task [`EventKind::Completion`], workflow-root [`EventKind::Release`] —
@@ -48,17 +48,17 @@ pub enum EventKind {
         /// VM index within the cluster.
         vm: u32,
         /// Id of the finishing task (`TaskSpec::id`; the flattened global
-        /// index in the DAG environment).
+        /// index in a workflow episode).
         task_id: u64,
     },
-    /// The trace task at arrival-sorted `index` arrives (flat environment;
+    /// The trace task at arrival-sorted `index` arrives (flat episodes;
     /// scheduled lazily, one pending arrival at a time).
     Arrival {
         /// Index into the arrival-sorted episode trace.
         index: u32,
     },
     /// The dependency-free workflow task `gid` is released at its
-    /// submission time (DAG environment; scheduled lazily like arrivals).
+    /// submission time (workflow episodes; scheduled lazily like arrivals).
     Release {
         /// Flattened global task index.
         gid: u32,
@@ -207,9 +207,8 @@ pub trait TimeDriven {
 }
 
 /// The single time authority: owns `now`, the calendar, and the one copy of
-/// the fast-forward logic both environments previously duplicated. All
-/// clock movement goes through here; environments never mutate time
-/// directly.
+/// the fast-forward logic. All clock movement goes through here; the
+/// environment never mutates time directly.
 #[derive(Debug, Clone)]
 pub struct SimClock {
     engine: TimeEngine,
@@ -229,7 +228,7 @@ impl SimClock {
     }
 
     /// Switches engines, dropping any pending events (only meaningful
-    /// between episodes; the environments enforce that).
+    /// between episodes; the environment enforces that).
     pub fn set_engine(&mut self, engine: TimeEngine) {
         self.engine = engine;
         self.calendar.clear();
@@ -308,10 +307,9 @@ impl SimClock {
         Some(self.advance_to(t, h))
     }
 
-    /// The shared fast-forward decision (previously duplicated by the flat
-    /// and DAG environments): jump to the next event when fast-forwarding
-    /// and one is pending in the future, else tick one step. Returns events
-    /// applied.
+    /// The fast-forward decision: jump to the next event when
+    /// fast-forwarding and one is pending in the future, else tick one
+    /// step. Returns events applied.
     pub fn advance_auto<H: TimeDriven>(&mut self, fast_forward: bool, h: &mut H) -> u64 {
         let target = match self.next_event(h) {
             Some(t) if fast_forward && t > self.now => t,

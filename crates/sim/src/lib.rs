@@ -9,9 +9,14 @@
 //! baselines).
 //!
 //! One simulation step is one minute (matching `pfrl-workloads`). An episode
-//! replays a task trace against a cluster of heterogeneous VMs; the agent
-//! repeatedly assigns the head of the waiting queue to a VM (or waits), and
-//! is rewarded per Eqs. (6)–(9) of the paper:
+//! replays a workload against a cluster of heterogeneous VMs: a flat task
+//! trace ([`CloudEnv::reset`], the paper's setting), or a set of DAG
+//! workflows ([`CloudEnv::reset_workflows`], the paper's Sec. 6 future work;
+//! see [`dag`]) whose tasks become ready only once their dependencies
+//! complete. [`CloudEnv`] is the one environment for both: the workload only
+//! decides when a task enters the waiting queue. The agent repeatedly
+//! assigns the head of the waiting queue to a VM (or waits), and is rewarded
+//! per Eqs. (6)–(9) of the paper:
 //!
 //! * successful placement: `ρ·exp(j_run/j_res) + (1-ρ)·R_load`;
 //! * infeasible placement attempt: `-exp(Σ w_i·util_i)` of the chosen VM;
@@ -59,10 +64,9 @@ pub mod reward;
 pub mod state;
 pub mod vm;
 
-pub use baselines::{run_blind_random, run_heuristic, HeuristicPolicy};
+pub use baselines::{run_heuristic, HeuristicPolicy};
 pub use cluster::Cluster;
 pub use config::{EnvConfig, EnvDims};
-pub use dag::DagCloudEnv;
 pub use env::{Action, CloudEnv, StepOutcome};
 pub use events::{Event, EventCalendar, EventKind, SimClock, TimeDriven, TimeEngine};
 pub use metrics::{EpisodeMetrics, TaskRecord};
@@ -70,62 +74,3 @@ pub use vm::{Vm, VmSpec};
 
 /// Number of resource dimensions modeled (vCPU, memory) — the paper's `d`.
 pub const RESOURCE_DIMS: usize = 2;
-
-/// The environment interface the RL agents drive. Implemented by the flat
-/// [`CloudEnv`] (the paper's setting) and by [`dag::DagCloudEnv`]
-/// (dependency-aware workflows — the paper's stated future work).
-pub trait SchedulingEnv {
-    /// Shared observation/action dimensioning.
-    fn dims(&self) -> &EnvDims;
-    /// Current observation (Eq. 1 layout) into a reusable buffer — the
-    /// required form, so every implementation has an allocation-free
-    /// per-decision path by construction.
-    fn observe_into(&self, out: &mut Vec<f32>);
-    /// Allocating convenience wrapper over
-    /// [`SchedulingEnv::observe_into`] (tests, diagnostics — never the hot
-    /// path).
-    fn observe(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.observe_into(&mut out);
-        out
-    }
-    /// Executes one agent decision.
-    fn step(&mut self, action: Action) -> StepOutcome;
-    /// Whether the episode has ended.
-    fn is_done(&self) -> bool;
-    /// Episode metrics so far.
-    fn metrics(&self) -> EpisodeMetrics;
-    /// Feasibility mask over the action head (`mask[max_vms]` = wait,
-    /// always true) into a reusable buffer — the required form, like
-    /// [`SchedulingEnv::observe_into`]. Used by masked-policy agents (an
-    /// ablation; the paper itself relies on penalties instead).
-    fn action_mask_into(&self, out: &mut Vec<bool>);
-    /// Allocating convenience wrapper over
-    /// [`SchedulingEnv::action_mask_into`].
-    fn action_mask(&self) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.action_mask_into(&mut out);
-        out
-    }
-}
-
-impl SchedulingEnv for CloudEnv {
-    fn dims(&self) -> &EnvDims {
-        CloudEnv::dims(self)
-    }
-    fn observe_into(&self, out: &mut Vec<f32>) {
-        CloudEnv::observe_into(self, out)
-    }
-    fn step(&mut self, action: Action) -> StepOutcome {
-        CloudEnv::step(self, action)
-    }
-    fn is_done(&self) -> bool {
-        CloudEnv::is_done(self)
-    }
-    fn metrics(&self) -> EpisodeMetrics {
-        CloudEnv::metrics(self)
-    }
-    fn action_mask_into(&self, out: &mut Vec<bool>) {
-        CloudEnv::action_mask_into(self, out)
-    }
-}

@@ -1,5 +1,5 @@
-//! The reward function of Sec. 4.2 (Eqs. 6–9), shared by the flat
-//! [`crate::CloudEnv`] and the workflow [`crate::dag::DagCloudEnv`].
+//! The reward function of Sec. 4.2 (Eqs. 6–9) of [`crate::CloudEnv`], the
+//! same for flat and workflow episodes.
 
 use crate::config::EnvConfig;
 use crate::vm::Vm;

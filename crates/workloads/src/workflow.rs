@@ -46,6 +46,15 @@ impl Workflow {
         self.tasks.is_empty()
     }
 
+    /// The one-task workflow `task` forms, submitted at its arrival — how a
+    /// flat task set runs as a workflow episode.
+    pub fn singleton(task: TaskSpec) -> Self {
+        Workflow {
+            tasks: vec![DagTask { spec: TaskSpec { id: 0, ..task }, deps: Vec::new() }],
+            submit: task.arrival,
+        }
+    }
+
     /// Validates the DAG invariants: topological ids and dep references.
     pub fn is_valid(&self) -> bool {
         self.tasks.iter().enumerate().all(|(i, t)| {

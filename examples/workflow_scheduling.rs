@@ -1,8 +1,9 @@
 //! Workflow (DAG) scheduling — the paper's future-work extension.
 //!
-//! Scientific workflows (layered fork–join DAGs built over the HPC-HF task
-//! distribution) are scheduled by a PPO agent trained directly on the
-//! dependency-aware environment, and compared with a first-fit driver.
+//! Scientific workflows (layered fork–join DAGs built over the Google task
+//! distribution) are scheduled by a PPO agent trained directly on
+//! dependency-aware workflow episodes of the one scheduling environment
+//! (`CloudEnv::reset_workflows`), and compared with a first-fit driver.
 //! The makespans are checked against each workflow's critical path (the
 //! contention-free lower bound).
 //!
@@ -12,10 +13,10 @@
 //! ```
 
 use pfrl_dm::rl::{PpoAgent, PpoConfig};
-use pfrl_dm::sim::{Action, DagCloudEnv, EnvConfig, EnvDims, SchedulingEnv, VmSpec};
+use pfrl_dm::sim::{Action, CloudEnv, EnvConfig, EnvDims, VmSpec};
 use pfrl_dm::workloads::{DatasetId, WorkflowModel};
 
-fn run_first_fit(env: &mut DagCloudEnv) {
+fn run_first_fit(env: &mut CloudEnv) {
     while !env.is_done() {
         let a = env.first_fit_action().unwrap_or(Action::Wait);
         env.step(a);
@@ -42,14 +43,14 @@ fn main() {
         cp_sum as f64 / workflows.len() as f64
     );
 
-    // Train PPO on the DAG environment.
-    let mut env = DagCloudEnv::new(dims, vms.clone(), EnvConfig::default());
+    // Train PPO on workflow episodes.
+    let mut env = CloudEnv::new(dims, vms.clone(), EnvConfig::default());
     let mut agent = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 3);
     let mut first10 = 0.0;
     let mut last10 = 0.0;
     let episodes = 120;
     for ep in 0..episodes {
-        env.reset(workflows.clone());
+        env.reset_workflows(workflows.clone());
         let r = agent.train_one_episode(&mut env) as f64;
         if ep < 10 {
             first10 += r / 10.0;
@@ -61,11 +62,11 @@ fn main() {
     println!("PPO on DAGs: first-10 reward {first10:.1} -> last-10 {last10:.1}");
 
     // Compare makespans.
-    let mut ppo_env = DagCloudEnv::new(dims, vms.clone(), EnvConfig::default());
-    ppo_env.reset(workflows.clone());
+    let mut ppo_env = CloudEnv::new(dims, vms.clone(), EnvConfig::default());
+    ppo_env.reset_workflows(workflows.clone());
     agent.evaluate(&mut ppo_env);
-    let mut ff_env = DagCloudEnv::new(dims, vms, EnvConfig::default());
-    ff_env.reset(workflows.clone());
+    let mut ff_env = CloudEnv::new(dims, vms, EnvConfig::default());
+    ff_env.reset_workflows(workflows.clone());
     run_first_fit(&mut ff_env);
 
     println!(

@@ -1,8 +1,8 @@
 //! Golden-trace equivalence suite: the event-calendar time engine must be
 //! **bit-identical** to the stepped reference engine — per-step rewards,
 //! simulation clocks, `EpisodeMetrics`, and deterministic telemetry
-//! fingerprints — on every paper dataset, for both the flat and the DAG
-//! environments, with fast-forward on and off.
+//! fingerprints — on every paper dataset, for both flat and workflow
+//! episodes, with fast-forward on and off.
 //!
 //! The driving policy deliberately exercises every reward branch:
 //! successful placements, infeasible denials, void VM slots, lazy waits,
@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pfrl_core::sim::{
-    run_blind_random, run_heuristic, Action, CloudEnv, DagCloudEnv, EnvConfig, EnvDims,
-    EpisodeMetrics, HeuristicPolicy, SchedulingEnv, TimeEngine, VmSpec,
+    run_heuristic, Action, CloudEnv, EnvConfig, EnvDims, EpisodeMetrics, HeuristicPolicy,
+    TimeEngine, VmSpec,
 };
 use pfrl_core::stats::SeedStream;
 use pfrl_core::telemetry::{InMemoryRecorder, Telemetry};
@@ -165,7 +165,7 @@ fn flat_env_bit_identical_on_sparse_traces() {
     }
 }
 
-/// Lockstep-drives the DAG environment on both engines, with the mixed
+/// Lockstep-drives a workflow episode on both engines, with the mixed
 /// policy seeded by `policy_seed`. Returns the FNV-1a hash of the event
 /// engine's per-step reward bits, clock and placements, its final event
 /// count and workflow makespans.
@@ -175,20 +175,19 @@ fn assert_dag_equivalent(
     workflows: Vec<Workflow>,
     policy_seed: u64,
 ) -> u64 {
-    let mut stepped = DagCloudEnv::new(dims(), vms(), cfg);
+    let mut stepped = CloudEnv::new(dims(), vms(), cfg);
     stepped.set_time_engine(TimeEngine::Stepped);
-    let mut event = DagCloudEnv::new(dims(), vms(), cfg);
+    let mut event = CloudEnv::new(dims(), vms(), cfg);
 
-    stepped.reset(workflows.clone());
-    event.reset(workflows);
+    stepped.reset_workflows(workflows.clone());
+    event.reset_workflows(workflows);
     assert_eq!(stepped.now(), event.now(), "{label}: clock after reset");
 
     let mut rng = SmallRng::seed_from_u64(policy_seed);
     let mut steps = 0u64;
     let mut hash = Fnv::new();
     while !stepped.is_done() {
-        let max_vms = SchedulingEnv::dims(&stepped).max_vms;
-        let a = mixed_action(stepped.first_fit_action(), max_vms, &mut rng);
+        let a = mixed_action(stepped.first_fit_action(), stepped.dims().max_vms, &mut rng);
         let rs = stepped.step(a);
         let re = event.step(a);
         hash.word(u64::from(re.reward.to_bits()));
@@ -324,20 +323,18 @@ fn flat_env_telemetry_fingerprints_match_across_engines() {
     assert!(event.0["sim/events"] > 0);
 }
 
-/// Same fingerprint check for the DAG env (which gained telemetry in this
-/// redesign).
+/// Same fingerprint check for workflow episodes.
 fn dag_fingerprint(engine: TimeEngine, episodes: usize) -> Fingerprint {
     let recorder = Arc::new(InMemoryRecorder::new());
-    let mut env = DagCloudEnv::new(dims(), vms(), EnvConfig::default());
+    let mut env = CloudEnv::new(dims(), vms(), EnvConfig::default());
     env.set_time_engine(engine);
     env.set_telemetry(Telemetry::new(recorder.clone()));
     let mut rng = SmallRng::seed_from_u64(7);
     let model = WorkflowModel::scientific(DatasetId::K8s.model());
     for ep in 0..episodes {
-        env.reset(model.sample(5, ep as u64));
+        env.reset_workflows(model.sample(5, ep as u64));
         while !env.is_done() {
-            let max_vms = SchedulingEnv::dims(&env).max_vms;
-            let a = mixed_action(env.first_fit_action(), max_vms, &mut rng);
+            let a = mixed_action(env.first_fit_action(), env.dims().max_vms, &mut rng);
             env.step(a);
         }
     }
@@ -378,7 +375,7 @@ fn heuristic_baselines_bit_identical_across_engines() {
     let mut event = CloudEnv::new(dims(), vms(), EnvConfig::default());
     stepped.reset(tasks.clone());
     event.reset(tasks);
-    let ms = run_blind_random(&mut stepped, 5);
-    let me = run_blind_random(&mut event, 5);
+    let ms = run_heuristic(&mut stepped, HeuristicPolicy::BlindRandom, 5);
+    let me = run_heuristic(&mut event, HeuristicPolicy::BlindRandom, 5);
     assert_metrics_bit_identical("BlindRandom", &ms, &me);
 }

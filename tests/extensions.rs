@@ -4,12 +4,12 @@
 
 use pfrl_rl::{DualCriticAgent, PpoAgent, PpoConfig};
 use pfrl_sim::objectives::{total_cost_dollars, total_energy_wh, CostModel, EnergyModel};
-use pfrl_sim::{Action, DagCloudEnv, EnvConfig, EnvDims, SchedulingEnv, VmSpec};
+use pfrl_sim::{Action, CloudEnv, EnvConfig, EnvDims, VmSpec};
 use pfrl_workloads::{DatasetId, WorkflowModel};
 
-fn dag_env() -> (EnvDims, DagCloudEnv) {
+fn dag_env() -> (EnvDims, CloudEnv) {
     let dims = EnvDims::new(3, 8, 64.0, 4);
-    let env = DagCloudEnv::new(
+    let env = CloudEnv::new(
         dims,
         vec![VmSpec::new(8, 64.0), VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)],
         EnvConfig::default(),
@@ -35,7 +35,7 @@ fn ppo_trains_on_dag_environment_and_improves() {
     let wfs = small_workflows(4, 3);
     let mut rewards = Vec::new();
     for _ in 0..60 {
-        env.reset(wfs.clone());
+        env.reset_workflows(wfs.clone());
         rewards.push(agent.train_one_episode(&mut env) as f64);
     }
     let early: f64 = rewards[..10].iter().sum::<f64>() / 10.0;
@@ -50,7 +50,7 @@ fn dual_critic_agent_works_on_dags_too() {
         DualCriticAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 2);
     let wfs = small_workflows(3, 5);
     for _ in 0..3 {
-        env.reset(wfs.clone());
+        env.reset_workflows(wfs.clone());
         let r = agent.train_one_episode(&mut env);
         assert!(r.is_finite());
     }
@@ -61,7 +61,7 @@ fn dual_critic_agent_works_on_dags_too() {
 fn dag_makespans_respect_critical_path() {
     let (_, mut env) = dag_env();
     let wfs = small_workflows(5, 7);
-    env.reset(wfs.clone());
+    env.reset_workflows(wfs.clone());
     let mut guard = 0;
     while !env.is_done() && guard < 50_000 {
         let a = env.first_fit_action().unwrap_or(Action::Wait);
@@ -82,7 +82,7 @@ fn dag_makespans_respect_critical_path() {
 #[test]
 fn energy_and_cost_computable_from_any_episode() {
     let (_, mut env) = dag_env();
-    env.reset(small_workflows(3, 9));
+    env.reset_workflows(small_workflows(3, 9));
     let mut guard = 0;
     while !env.is_done() && guard < 50_000 {
         let a = env.first_fit_action().unwrap_or(Action::Wait);

@@ -222,19 +222,15 @@ fn hot_paths_are_allocation_free_after_warmup() {
         "event-core episode (reset + calendar-driven first-fit) allocated {calls} times / {bytes} bytes after warmup"
     );
 
-    // The DAG env's event loop (release chains + completion-driven ready
-    // propagation). Its `reset` rebuilds dependency tables and is allowed
-    // to allocate, so only the decision loop is measured.
-    use pfrl_core::sim::{DagCloudEnv, SchedulingEnv};
+    // A workflow episode's event loop (release chains + completion-driven
+    // ready propagation). Its `reset_workflows` rebuilds dependency tables
+    // and is allowed to allocate, so only the decision loop is measured.
     use pfrl_core::workloads::WorkflowModel;
     let wf_model = WorkflowModel::scientific(DatasetId::K8s.model());
     let workflows = wf_model.sample(4, 17);
-    let mut dag_env = DagCloudEnv::new(
-        dims,
-        vec![VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)],
-        EnvConfig::default(),
-    );
-    let dag_episode = |env: &mut DagCloudEnv| {
+    let mut dag_env =
+        CloudEnv::new(dims, vec![VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)], EnvConfig::default());
+    let dag_episode = |env: &mut CloudEnv| {
         let mut decisions = 0usize;
         while !env.is_done() {
             let a = env.first_fit_action().unwrap_or(Action::Wait);
@@ -244,10 +240,10 @@ fn hot_paths_are_allocation_free_after_warmup() {
         decisions
     };
     for _ in 0..3 {
-        dag_env.reset(workflows.clone());
+        dag_env.reset_workflows(workflows.clone());
         dag_episode(&mut dag_env);
     }
-    dag_env.reset(workflows.clone());
+    dag_env.reset_workflows(workflows.clone());
     let (calls, bytes, decisions) = count_allocs(|| dag_episode(&mut dag_env));
     assert!(decisions > 0, "DAG event-core episode made no decisions");
     assert!(dag_env.events() > 0, "DAG event-core episode applied no events");
