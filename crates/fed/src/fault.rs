@@ -354,7 +354,7 @@ pub enum AbsenceReason {
 }
 
 /// A client's connectivity for one round, as decided by
-/// [`FaultState::begin_round`].
+/// [`FaultState::begin_round_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Presence {
     /// Connected: uploads (possibly damaged) and receives broadcasts.
@@ -433,7 +433,7 @@ pub struct FaultState {
     /// The most recent gate/screen rejection, with round and client, for
     /// structured error surfacing (see [`crate::FedError::Quarantine`]).
     last_rejection: Option<(usize, usize, RejectReason)>,
-    /// Enrolled-client count of the latest [`Self::begin_round`], the
+    /// Enrolled-client count of the latest [`Self::begin_round_into`], the
     /// denominator of `fed/participation_fraction` (so scheduled churn does
     /// not masquerade as dropout).
     enrolled: usize,
@@ -504,7 +504,7 @@ impl FaultState {
         })
     }
 
-    /// Enrolled-client count of the latest [`Self::begin_round`].
+    /// Enrolled-client count of the latest [`Self::begin_round_into`].
     pub fn enrolled_now(&self) -> usize {
         self.enrolled
     }
@@ -542,18 +542,12 @@ impl FaultState {
         self.clients = states;
     }
 
-    /// Decides every client's connectivity for `round`, advancing straggler
-    /// countdowns and emitting `fed/dropouts` / `fed/stragglers` counters
-    /// (plus `fed/joins` / `fed/leaves` on churn transitions).
-    pub fn begin_round(&mut self, round: usize) -> Vec<Presence> {
-        let mut out = Vec::with_capacity(self.clients.len());
-        self.begin_round_into(round, &mut out);
-        out
-    }
-
-    /// [`Self::begin_round`] into a reusable buffer — what the runners'
-    /// pooled aggregation paths call, allocation-free once `out`'s capacity
-    /// covers the cohort.
+    /// Decides every client's connectivity for `round` into `out` (one entry
+    /// per client), advancing straggler countdowns and emitting
+    /// `fed/dropouts` / `fed/stragglers` counters (plus `fed/joins` /
+    /// `fed/leaves` on churn transitions). Allocation-free once `out`'s
+    /// capacity covers the cohort, so the runners' pooled aggregation paths
+    /// reuse one buffer.
     pub fn begin_round_into(&mut self, round: usize, out: &mut Vec<Presence>) {
         let n = self.clients.len();
         out.clear();
@@ -629,7 +623,7 @@ impl FaultState {
 
     /// Runs one upload through injection + the quarantine gate.
     ///
-    /// `presence` must be the `Present` entry [`Self::begin_round`]
+    /// `presence` must be the `Present` entry [`Self::begin_round_into`]
     /// returned for this client. Returns the upload to aggregate (fresh,
     /// stale-substituted, or the last-known-good fallback), or `None` when
     /// the round contributes nothing (quarantined with no fallback).
@@ -759,7 +753,7 @@ impl FaultState {
 
     /// Observes the round's participation fraction and flags empty rounds.
     /// The denominator is the *currently enrolled* cohort of the latest
-    /// [`Self::begin_round`], not the all-time client count — scheduled
+    /// [`Self::begin_round_into`], not the all-time client count — scheduled
     /// churn must not read as dropout.
     pub fn record_participation(&self, accepted: usize) {
         let n = self.enrolled.max(1);
@@ -877,7 +871,8 @@ mod tests {
             let _ = fs.gate_upload(round, 0, vec![vec![1.0f32, 1.0]], poisoned);
         }
         assert!(fs.is_evicted(0));
-        let presences = fs.begin_round(2);
+        let mut presences = Vec::new();
+        fs.begin_round_into(2, &mut presences);
         assert_eq!(presences[0], Presence::Absent(AbsenceReason::Evicted));
     }
 
@@ -888,8 +883,10 @@ mod tests {
         let mut fs = FaultState::new(plan, QuarantinePolicy::default(), 1);
         let mut silent = 0usize;
         let mut reconnected = false;
+        let mut presences = Vec::new();
         for round in 0..30 {
-            let p = fs.begin_round(round)[0];
+            fs.begin_round_into(round, &mut presences);
+            let p = presences[0];
             match p {
                 Presence::Absent(AbsenceReason::Straggling) => {
                     silent += 1;
@@ -946,12 +943,15 @@ mod tests {
             ChurnEvent { round: 3, client: 2, kind: ChurnKind::Join },
         ]));
         assert_eq!(fs.enrolled_now(), 3);
-        assert!(fs.begin_round(0).iter().all(Presence::is_present));
-        let p1 = fs.begin_round(1);
-        assert_eq!(p1[2], Presence::Absent(AbsenceReason::NotEnrolled));
-        assert!(p1[0].is_present() && p1[1].is_present());
+        let mut p = Vec::new();
+        fs.begin_round_into(0, &mut p);
+        assert!(p.iter().all(Presence::is_present));
+        fs.begin_round_into(1, &mut p);
+        assert_eq!(p[2], Presence::Absent(AbsenceReason::NotEnrolled));
+        assert!(p[0].is_present() && p[1].is_present());
         assert_eq!(fs.enrolled_now(), 2);
-        assert!(fs.begin_round(3)[2].is_present());
+        fs.begin_round_into(3, &mut p);
+        assert!(p[2].is_present());
         assert_eq!(fs.enrolled_now(), 3);
     }
 

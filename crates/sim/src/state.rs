@@ -8,7 +8,8 @@ use pfrl_workloads::TaskSpec;
 /// Marker value for *void* slots (absent VMs / vCPUs), as in Fig. 6.
 pub const VOID: f32 = -1.0;
 
-/// Encodes the full observation into a fixed-length vector:
+/// Encodes the full observation into `out`, which must be exactly
+/// [`EnvDims::state_dim`] long:
 ///
 /// 1. `S^VM` — for each of `L` VM slots, the remaining capacity of each
 ///    resource, normalized by the federation-wide maxima; void slots are
@@ -18,22 +19,11 @@ pub const VOID: f32 = -1.0;
 ///    VMs) are [`VOID`].
 /// 3. `S^Queue` — for each of `Q` queue slots, the normalized resource
 ///    demands of the waiting task; empty slots are zero.
-pub fn encode_state(
-    dims: &EnvDims,
-    cluster: &Cluster,
-    queue_head: &[TaskSpec],
-    now: u64,
-) -> Vec<f32> {
-    let mut s = vec![0.0; dims.state_dim()];
-    encode_state_into(dims, cluster, queue_head, now, &mut s);
-    s
-}
-
-/// [`encode_state`] into `out`, which must be exactly
-/// [`EnvDims::state_dim`] long; every element is overwritten, so `out` may
-/// hold anything beforehand (a reused buffer, or a row of a batch's state
-/// matrix). Accepts any iterator over the visible queue head so the
-/// environments can feed their `VecDeque` directly.
+///
+/// Every element is overwritten, so `out` may hold anything beforehand (a
+/// reused buffer, or a row of a batch's state matrix). Accepts any iterator
+/// over the visible queue head so the environment can feed its `VecDeque`
+/// directly.
 ///
 /// Each section is first filled with its padding value, then the present
 /// VMs and queued tasks are written by index.
@@ -86,12 +76,20 @@ mod tests {
         TaskSpec { id, arrival: 0, vcpus, mem_gb: mem, duration: dur }
     }
 
+    /// [`encode_state_into`] over a NaN-filled buffer, so a test also sees
+    /// that every element is overwritten.
+    fn encoded(dims: &EnvDims, cluster: &Cluster, queue: &[TaskSpec], now: u64) -> Vec<f32> {
+        let mut s = vec![f32::NAN; dims.state_dim()];
+        encode_state_into(dims, cluster, queue, now, &mut s);
+        s
+    }
+
     #[test]
     fn layout_and_length() {
         let dims = EnvDims::new(3, 4, 32.0, 2);
         let cluster = Cluster::new(&[VmSpec::new(4, 32.0), VmSpec::new(2, 16.0)]);
         let queue = [task(0, 2, 8.0, 5)];
-        let s = encode_state(&dims, &cluster, &queue, 0);
+        let s = encoded(&dims, &cluster, &queue, 0);
         assert_eq!(s.len(), dims.state_dim());
         // S^VM: vm0 idle (1.0, 1.0), vm1 idle (0.5, 0.5), slot 2 void.
         assert_eq!(&s[0..6], &[1.0, 1.0, 0.5, 0.5, VOID, VOID]);
@@ -108,7 +106,7 @@ mod tests {
         let dims = EnvDims::new(1, 4, 32.0, 1);
         let mut cluster = Cluster::new(&[VmSpec::new(4, 32.0)]);
         cluster.vm_mut(0).place(&task(7, 2, 8.0, 10), 0);
-        let s = encode_state(&dims, &cluster, &[], 5);
+        let s = encoded(&dims, &cluster, &[], 5);
         // Remaining capacity reflects the placement.
         assert_eq!(s[0], 0.5);
         assert_eq!(s[1], 0.75);
@@ -123,7 +121,7 @@ mod tests {
             Cluster::new(&[VmSpec::new(8, 64.0), VmSpec::new(4, 16.0), VmSpec::new(2, 8.0)]);
         cluster.vm_mut(0).place(&task(0, 3, 10.0, 7), 2);
         let queue = [task(1, 8, 64.0, 3), task(2, 1, 0.5, 1)];
-        let s = encode_state(&dims, &cluster, &queue, 4);
+        let s = encoded(&dims, &cluster, &queue, 4);
         for &v in &s {
             assert!(v == VOID || (0.0..=1.0).contains(&v), "out of range: {v}");
         }
@@ -135,7 +133,7 @@ mod tests {
         let cluster = Cluster::new(&[VmSpec::new(1, 1.0)]);
         let queue = [task(0, 1, 1.0, 1), task(1, 1, 1.0, 1), task(2, 1, 1.0, 1)];
         // Only the first `queue_slots` tasks are encoded.
-        let s = encode_state(&dims, &cluster, &queue[..2.min(queue.len())], 0);
+        let s = encoded(&dims, &cluster, &queue[..2.min(queue.len())], 0);
         assert_eq!(s.len(), dims.state_dim());
     }
 }
