@@ -5,13 +5,14 @@
 //! into `BENCH_schedule_throughput.json` at the repo root.
 
 use pfrl_bench::publish_record;
-use pfrl_core::experiment::{federation_manifest, run_federation_with_telemetry, Algorithm};
+use pfrl_core::experiment::{run_federation_with_telemetry, Algorithm};
 use pfrl_core::fed::FedConfig;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::sim::EnvConfig;
 use pfrl_core::telemetry::{
-    FanoutRecorder, InMemoryRecorder, Json, JsonlSink, MetricsSnapshot, Recorder, Telemetry,
+    FanoutRecorder, InMemoryRecorder, Json, JsonlSink, MetricsSnapshot, Recorder, RunManifest,
+    Telemetry,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,14 +126,13 @@ fn main() {
         );
     }
 
-    let manifest = federation_manifest(
-        "perf_probe",
-        Algorithm::PfrlDm,
+    // Every algorithm runs in this record, so the header names none.
+    let manifest = RunManifest::new("perf_probe").with_seed(fed_cfg().seed).with_config_of(&(
         TABLE2_DIMS,
         &EnvConfig::default(),
         &PpoConfig::default(),
         &fed_cfg(),
-    );
+    ));
     let body = Json::obj([
         ("clients", 4u64.into()),
         ("episodes", fed_cfg().episodes.into()),

@@ -12,7 +12,7 @@
 //! conventions as every probe (see `pfrl_bench::publish_record`).
 
 use pfrl_bench::publish_record;
-use pfrl_core::experiment::{federation_manifest, run_federation, Algorithm};
+use pfrl_core::experiment::{run_federation, Algorithm};
 use pfrl_core::fed::FedConfig;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
 use pfrl_core::rl::PpoConfig;
@@ -22,7 +22,7 @@ use pfrl_core::serve::{
 use pfrl_core::sim::EnvConfig;
 use pfrl_core::telemetry::{
     FanoutRecorder, InMemoryRecorder, Json, JsonlSink, LogHistogram, MetricsSnapshot, Recorder,
-    Telemetry,
+    RunManifest, Telemetry,
 };
 use pfrl_core::workloads::{DatasetId, TaskSpec};
 use std::sync::{Arc, Barrier};
@@ -388,14 +388,13 @@ fn main() {
         );
     }
 
-    let manifest = federation_manifest(
-        "serve_probe",
-        Algorithm::PfrlDm,
+    // Every algorithm runs in this record, so the header names none.
+    let manifest = RunManifest::new("serve_probe").with_seed(fed_cfg().seed).with_config_of(&(
         TABLE2_DIMS,
         &EnvConfig::default(),
         &PpoConfig::default(),
         &fed_cfg(),
-    );
+    ));
     let body = Json::obj([
         ("clients", 4u64.into()),
         ("episodes_per_session", EPISODES_PER_SESSION.into()),

@@ -15,6 +15,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The scale a run records for a `PFRL_SCALE` value: `"paper"` only for
+/// `paper`, else `"quick"`. Every scale-aware config falls back to quick on
+/// any other value, so a misspelt scale never reaches a header.
+fn scale_label(pfrl_scale: Option<&str>) -> &'static str {
+    match pfrl_scale {
+        Some("paper") => "paper",
+        _ => "quick",
+    }
+}
+
 /// Provenance record for one experiment run.
 ///
 /// Written as `<result-stem>.manifest.json` alongside every result CSV so a
@@ -28,7 +38,7 @@ pub struct RunManifest {
     pub algorithm: Option<String>,
     /// Master seed the run derives all randomness from.
     pub seed: u64,
-    /// Value of `PFRL_SCALE` at run time (`quick` when unset).
+    /// `paper` when `PFRL_SCALE=paper` at run time, else `quick`.
     pub scale: String,
     /// `std::thread::available_parallelism()` on the machine that ran it.
     pub threads: usize,
@@ -45,7 +55,7 @@ impl RunManifest {
             run: run.to_string(),
             algorithm: None,
             seed: 0,
-            scale: std::env::var("PFRL_SCALE").unwrap_or_else(|_| "quick".to_string()),
+            scale: scale_label(std::env::var("PFRL_SCALE").ok().as_deref()).to_string(),
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             config_hash: 0,
             created_unix_s: std::time::SystemTime::now()
@@ -170,6 +180,14 @@ mod tests {
         );
         let none = RunManifest { algorithm: None, ..m };
         assert!(none.to_json().contains("\n  \"algorithm\": null,\n"));
+    }
+
+    #[test]
+    fn scale_label_is_paper_only_for_paper() {
+        assert_eq!(scale_label(Some("paper")), "paper");
+        for other in [None, Some("quick"), Some("papr"), Some("PAPER"), Some("")] {
+            assert_eq!(scale_label(other), "quick", "{other:?}");
+        }
     }
 
     #[test]
