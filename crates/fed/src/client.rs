@@ -169,10 +169,10 @@ impl<A: FedAgent> Client<A> {
     /// on windows of `pool`. `per_episode` bounds the workflows per episode
     /// window (`None` = the whole pool every episode).
     ///
-    /// The switch leaves the environment on a noop telemetry handle, as the
-    /// fresh workflow environment it once built did, so a workflow run
-    /// records no `sim/*` metrics unless [`Self::set_telemetry`] follows;
-    /// the pinned workflow fingerprints are recorded that way.
+    /// The switch resets the environment's telemetry to the noop handle: a
+    /// workflow run records no `sim/*` metrics unless [`Self::set_telemetry`]
+    /// follows, and the workflow rows of `tests/runner_pins.rs` pin exactly
+    /// that telemetry.
     pub fn use_workflows(&mut self, pool: Vec<Workflow>, per_episode: Option<usize>) {
         assert!(!pool.is_empty(), "client {} has no workflows", self.name);
         self.env.set_telemetry(Telemetry::noop());

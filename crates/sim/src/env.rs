@@ -406,7 +406,7 @@ impl CloudEnv {
 
         self.total_reward += reward as f64;
         if self.all_settled() {
-            if let Workload::Workflows(_) = self.workload {
+            if matches!(self.workload, Workload::Workflows(_)) {
                 // Register every completion, so the workflow makespans are
                 // final when the episode ends.
                 while self.cluster.running_count() > 0 {
@@ -547,7 +547,6 @@ impl CloudEnv {
 }
 
 /// Clock-movement modes.
-#[derive(Debug, Clone, Copy)]
 enum Advance {
     /// Exactly one step (denials, void slots, lazy waits).
     One,
