@@ -500,6 +500,40 @@ mod tests {
             .all(|(u, c)| c.arrival == u.arrival / ARRIVAL_COMPRESSION));
     }
 
+    /// The premise of the input-layer fold: over first-fit episodes on
+    /// every preset fleet, a state column reads `VOID` exactly when it is
+    /// outside the env's live columns.
+    #[test]
+    fn void_columns_are_exactly_the_folded_ones_on_every_preset_fleet() {
+        use pfrl_core::presets::{table2_clients, table3_clients, TABLE2_DIMS, TABLE3_DIMS};
+        use pfrl_core::sim::{state::VOID, Action};
+        let pools = SeedStream::new(3).child("fold-premise");
+        let cohorts = [
+            (TABLE2_DIMS, table2_clients(40, 11)),
+            (TABLE3_DIMS, table3_clients(40, 12)),
+            (WorkloadFamily::Heterogeneous.dims(), two_vm_cohort(4, 40, pools)),
+        ];
+        for (dims, setups) in cohorts {
+            for setup in setups {
+                let mut env = CloudEnv::new(dims, setup.vms.clone(), EnvConfig::default());
+                env.reset(setup.train_tasks.clone());
+                let live = env.live_columns().to_vec();
+                let mut state = Vec::new();
+                let mut steps = 0;
+                while !env.is_done() {
+                    env.observe_into(&mut state);
+                    for (p, &v) in state.iter().enumerate() {
+                        let folded = live.binary_search(&p).is_err();
+                        assert_eq!(v == VOID, folded, "{} column {p} reads {v}", setup.name);
+                    }
+                    env.step(env.first_fit_action().unwrap_or(Action::Wait));
+                    steps += 1;
+                }
+                assert!(steps > 0, "{}: empty episode", setup.name);
+            }
+        }
+    }
+
     #[test]
     fn json_helpers_keep_non_finite_parseable() {
         assert_eq!(json::jf(1.5), "1.5");

@@ -8,6 +8,7 @@ use crate::config::{EnvConfig, EnvDims};
 use crate::dag::Workflows;
 use crate::events::{Event, EventCalendar, EventKind, SimClock, TimeDriven, TimeEngine};
 use crate::metrics::{compute_metrics, EpisodeMetrics, TaskRecord};
+use crate::state;
 use crate::vm::VmSpec;
 use pfrl_telemetry::Telemetry;
 use pfrl_workloads::workflow::Workflow;
@@ -81,6 +82,8 @@ pub struct CloudEnv {
     dims: EnvDims,
     cfg: EnvConfig,
     vm_specs: Vec<VmSpec>,
+    /// The state columns this fleet can fill ([`state::live_columns`]).
+    live_columns: Vec<usize>,
     cluster: Cluster,
     /// Episode tasks: the arrival-sorted trace, or the flattened workflow
     /// bodies (`TaskSpec::id` is then the global index).
@@ -135,6 +138,7 @@ impl CloudEnv {
         }
         let cluster = Cluster::new(&vms);
         Self {
+            live_columns: state::live_columns(&dims, &vms),
             dims,
             cfg,
             vm_specs: vms,
@@ -274,6 +278,13 @@ impl CloudEnv {
         &self.vm_specs
     }
 
+    /// The observation columns this fleet can set to anything but
+    /// [`state::VOID`], ascending ([`state::live_columns`]; fixed at
+    /// construction). Every other column reads `VOID` in every state.
+    pub fn live_columns(&self) -> &[usize] {
+        &self.live_columns
+    }
+
     /// The live cluster state.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
@@ -318,7 +329,7 @@ impl CloudEnv {
     /// [`EnvDims::state_dim`] floats, e.g. one row of a batch's state
     /// matrix; every element is overwritten.
     pub fn observe_into_slice(&self, out: &mut [f32]) {
-        crate::state::encode_state_into(
+        state::encode_state_into(
             &self.dims,
             &self.cluster,
             self.queue.iter().take(self.dims.queue_slots),

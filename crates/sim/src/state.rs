@@ -2,6 +2,7 @@
 
 use crate::cluster::Cluster;
 use crate::config::EnvDims;
+use crate::vm::VmSpec;
 use crate::RESOURCE_DIMS;
 use pfrl_workloads::TaskSpec;
 
@@ -67,6 +68,27 @@ pub fn encode_state_into<'a>(
     }
 }
 
+/// The columns of an Eq. 1 state over the fleet `vms` that can hold
+/// anything but [`VOID`], ascending: every column except the capacity pair
+/// of each absent VM slot and the vCPU slots past each VM's count — exactly
+/// the slots [`encode_state_into`] fills with [`VOID`] and never
+/// overwrites. The list depends only on the fleet, so a network fed this
+/// fleet's states can fold the other columns into its input-layer bias
+/// (`pfrl_nn::Mlp::fold_inputs`).
+pub fn live_columns(dims: &EnvDims, vms: &[VmSpec]) -> Vec<usize> {
+    let width = dims.max_vcpus as usize;
+    let present = &vms[..vms.len().min(dims.max_vms)];
+    let vcpu_base = dims.max_vms * RESOURCE_DIMS;
+    let queue_base = vcpu_base + dims.max_vms * width;
+    let capacity = 0..present.len() * RESOURCE_DIMS;
+    let vcpus = present.iter().enumerate().flat_map(|(i, vm)| {
+        let start = vcpu_base + i * width;
+        start..start + (vm.vcpus as usize).min(width)
+    });
+    let queue = queue_base..queue_base + dims.queue_slots * RESOURCE_DIMS;
+    capacity.chain(vcpus).chain(queue).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +121,20 @@ mod tests {
         assert_eq!(&s[14..18], &[VOID, VOID, VOID, VOID]);
         // S^Queue: task (2/4, 8/32) then empty slot.
         assert_eq!(&s[18..22], &[0.5, 0.25, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn live_columns_are_the_columns_not_void() {
+        let dims = EnvDims::new(3, 4, 32.0, 2);
+        let fleet = [VmSpec::new(4, 32.0), VmSpec::new(2, 16.0)];
+        let live = live_columns(&dims, &fleet);
+        // Capacity of vm0/vm1, vm0's 4 vCPUs, vm1's first 2, the queue.
+        let want: Vec<usize> = (0..4).chain(6..10).chain(10..12).chain(18..22).collect();
+        assert_eq!(live, want);
+        let s = encoded(&dims, &Cluster::new(&fleet), &[task(0, 2, 8.0, 5)], 0);
+        for (p, &v) in s.iter().enumerate() {
+            assert_eq!(v == VOID, !live.contains(&p), "column {p}");
+        }
     }
 
     #[test]

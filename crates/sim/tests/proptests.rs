@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator primitives.
 
-use pfrl_sim::state::{encode_state_into, VOID};
+use pfrl_sim::state::{encode_state_into, live_columns, VOID};
 use pfrl_sim::{Cluster, EnvConfig, EnvDims, EventCalendar, EventKind, VmSpec};
 use pfrl_workloads::TaskSpec;
 use proptest::prelude::*;
@@ -242,7 +242,8 @@ proptest! {
     /// bit for bit: fleets of up to `max_vms` VMs (absent slots included,
     /// and VMs wider than `max_vcpus`), running tasks at assorted progress,
     /// queues shorter and longer than `queue_slots`, written into a buffer
-    /// prefilled with NaN.
+    /// prefilled with NaN. A column reads `VOID` exactly when it is outside
+    /// the fleet's `live_columns`, the premise of the input-layer fold.
     #[test]
     fn slice_encoder_matches_per_element_reference(
         (max_vms, max_vcpus, queue_slots) in (1usize..=6, 1u32..=16, 1usize..=5),
@@ -284,5 +285,9 @@ proptest! {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(want.len(), dims.state_dim());
         prop_assert_eq!(bits(&got), bits(&want));
+        let live = live_columns(&dims, &specs);
+        for (p, &v) in got.iter().enumerate() {
+            prop_assert_eq!(v == VOID, live.binary_search(&p).is_err(), "column {}", p);
+        }
     }
 }
