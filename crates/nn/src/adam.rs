@@ -177,7 +177,9 @@ impl Adam {
     /// layer's `w`/`b` is updated from its `dw`/`db` with no flat copy of
     /// either. Bit for bit the same as [`Adam::step`] over
     /// [`Mlp::flat_params`] and [`Mlp::flat_grads`]: the clip norm is summed
-    /// in the same flat order and every element runs the same update.
+    /// in the same flat order and every element runs the same update. The
+    /// network's folded input bias is recomputed from the new parameters
+    /// ([`Mlp::fold_inputs`]).
     ///
     /// # Panics
     /// If the network's parameter count disagrees with the optimizer's.
@@ -205,6 +207,7 @@ impl Adam {
                 .all(|l| validate_params(l.w.as_slice()).and(validate_params(&l.b)).is_ok()),
             "Adam: non-finite parameter after step — corrupted update"
         );
+        net.refold();
     }
 }
 

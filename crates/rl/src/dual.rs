@@ -17,7 +17,7 @@
 
 use crate::agent::{
     actor_update, build_net, collect_episode_opts, critic_loss, critic_loss_into, critic_update,
-    evaluate_greedy_opts, load_states, AgentScratch,
+    evaluate_greedy_opts, fold_for, load_states, AgentScratch,
 };
 use crate::buffer::{BufferSnapshot, RolloutBuffer};
 use crate::config::PpoConfig;
@@ -202,6 +202,7 @@ impl DualCriticAgent {
             self.buffer.clear();
             self.episodes_buffered = 0;
         }
+        fold_for(env, [&mut self.actor, &mut self.local_critic, &mut self.public_critic]);
         let total = {
             let _rollout = self.telemetry.span("rl/rollout");
             collect_episode_opts(
@@ -386,6 +387,7 @@ impl DualCriticAgent {
     /// to route per-decision tensors through the agent's scratch buffers;
     /// no learnable state changes.
     pub fn evaluate(&mut self, env: &mut CloudEnv) -> EpisodeMetrics {
+        fold_for(env, [&mut self.actor, &mut self.local_critic, &mut self.public_critic]);
         evaluate_greedy_opts(&mut self.actor, env, self.cfg.mask_invalid_actions, &mut self.scratch)
     }
 

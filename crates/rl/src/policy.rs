@@ -59,6 +59,7 @@ pub fn sample_action_scratch(
 
 /// Applies an action mask to logits in place: disallowed entries become
 /// `-inf` so they carry zero probability mass.
+#[inline]
 pub fn apply_mask(logits: &mut [f32], mask: &[bool]) {
     assert_eq!(logits.len(), mask.len(), "mask length mismatch");
     assert!(mask.iter().any(|&m| m), "mask allows no actions");
@@ -93,6 +94,7 @@ pub fn sample_action_masked_scratch(
 }
 
 /// Greedy action: argmax of the logits.
+#[inline]
 pub fn greedy_action(logits: &[f32]) -> usize {
     ops::argmax(logits)
 }

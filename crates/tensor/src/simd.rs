@@ -31,9 +31,16 @@
 //!   the whole workspace (training and serving share it, keeping
 //!   trainer-vs-served bit-identity intact).
 //!
+//! * **One fold, computed in scalar.** The GEMMs can walk an ascending list
+//!   of input rows (a network's live state columns); the bias a first
+//!   layer adds in place of the other columns comes from the scalar
+//!   [`crate::ops::fold_bias_into`], which both tiers read, so the fold
+//!   adds nothing the tiers could round differently.
+//!
 //! The equivalence proptests in `crates/tensor/tests/proptests.rs` pin the
 //! contract: dispatched kernels vs the scalar reference, exact bitwise, on
-//! ragged (non-multiple-of-8) shapes and dirty reused buffers.
+//! ragged (non-multiple-of-8) shapes, ragged live-row lists and dirty
+//! reused buffers.
 //!
 //! # Tier selection
 //!
@@ -245,15 +252,23 @@ pub(crate) mod avx2 {
     }
 
     /// One column tile (`V` vectors of 8 plus `tail` scalar columns) of a
-    /// single-row product `out[col0..] = x · w[:, col0..] (+ bias)`.
+    /// single-row product `out[col0..] = Σ_{p ∈ rows} x[p] · w[p][col0..]
+    /// (+ bias)`.
     ///
     /// Accumulators live in registers for the whole contraction; each
-    /// output column sees `acc += x[p] * w[p][j]` in ascending `p` with the
-    /// reference's exact-zero skip, then the bias added last — the same
-    /// per-element sequence as the scalar reference, hence bit-identical.
+    /// output column sees `acc += x[p] * w[p][j]` over `rows` in ascending
+    /// `p` with the reference's exact-zero skip, then the bias added last —
+    /// the same per-element sequence as the scalar reference, hence
+    /// bit-identical. Rows outside `rows` are never read, from `x` or `w`.
+    ///
+    /// # Safety
+    /// AVX2, and every `p` of `rows` below `x.len()` with
+    /// `w.len() == x.len() * n` (the dispatching entry points check both).
     #[target_feature(enable = "avx2")]
-    unsafe fn matvec_tile<const V: usize>(
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn matvec_tile<const V: usize, R: Iterator<Item = usize>>(
         x: &[f32],
+        rows: R,
         w: &[f32],
         n: usize,
         col0: usize,
@@ -264,7 +279,8 @@ pub(crate) mod avx2 {
         let mut acc = [_mm256_setzero_ps(); V];
         let mmask = tail_mask(tail);
         let mut tacc = _mm256_setzero_ps();
-        for (p, &av) in x.iter().enumerate() {
+        for p in rows {
+            let av = *x.get_unchecked(p);
             if av == 0.0 {
                 continue;
             }
@@ -294,41 +310,52 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Single-row product over columns `[col0, n)`, tiled 64 columns at a
-    /// time (8 ymm accumulators — the whole hidden layer of the paper's
-    /// network stays in registers across the contraction).
+    /// Single-row product over all `n` columns, tiled 64 columns at a time
+    /// (8 ymm accumulators — the whole hidden layer of the paper's network
+    /// stays in registers across the contraction).
+    ///
+    /// # Safety
+    /// As [`matvec_tile`], plus `out.len() == n` and `bias`, if any, of
+    /// length `n`.
     #[target_feature(enable = "avx2")]
-    unsafe fn matvec_bias_cols(
+    unsafe fn matvec_bias_cols<R: Iterator<Item = usize> + Clone>(
         x: &[f32],
+        rows: R,
         w: &[f32],
         n: usize,
-        mut col0: usize,
         bias: Option<&[f32]>,
         out: &mut [f32],
     ) {
+        let mut col0 = 0;
         while col0 < n {
             let tc = (n - col0).min(64);
             let vecs = tc / 8;
             let tail = tc % 8;
+            let r = rows.clone();
             match vecs {
-                8 => matvec_tile::<8>(x, w, n, col0, 0, bias, out),
-                7 => matvec_tile::<7>(x, w, n, col0, tail, bias, out),
-                6 => matvec_tile::<6>(x, w, n, col0, tail, bias, out),
-                5 => matvec_tile::<5>(x, w, n, col0, tail, bias, out),
-                4 => matvec_tile::<4>(x, w, n, col0, tail, bias, out),
-                3 => matvec_tile::<3>(x, w, n, col0, tail, bias, out),
-                2 => matvec_tile::<2>(x, w, n, col0, tail, bias, out),
-                1 => matvec_tile::<1>(x, w, n, col0, tail, bias, out),
-                _ => matvec_tile::<0>(x, w, n, col0, tail, bias, out),
+                8 => matvec_tile::<8, R>(x, r, w, n, col0, 0, bias, out),
+                7 => matvec_tile::<7, R>(x, r, w, n, col0, tail, bias, out),
+                6 => matvec_tile::<6, R>(x, r, w, n, col0, tail, bias, out),
+                5 => matvec_tile::<5, R>(x, r, w, n, col0, tail, bias, out),
+                4 => matvec_tile::<4, R>(x, r, w, n, col0, tail, bias, out),
+                3 => matvec_tile::<3, R>(x, r, w, n, col0, tail, bias, out),
+                2 => matvec_tile::<2, R>(x, r, w, n, col0, tail, bias, out),
+                1 => matvec_tile::<1, R>(x, r, w, n, col0, tail, bias, out),
+                _ => matvec_tile::<0, R>(x, r, w, n, col0, tail, bias, out),
             }
             col0 += tc;
         }
     }
 
-    /// `out = x · w (+ bias)` for one row vector; `w` is `k×n` row-major.
+    /// `out = Σ_{p ∈ rows} x[p] · w[p] (+ bias)` for one row vector; `w` is
+    /// `k×n` row-major with `k = x.len()`.
+    ///
+    /// # Safety
+    /// As [`matvec_bias_cols`].
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn matvec_bias(
+    pub(crate) unsafe fn matvec_bias<R: Iterator<Item = usize> + Clone>(
         x: &[f32],
+        rows: R,
         w: &[f32],
         n: usize,
         bias: Option<&[f32]>,
@@ -336,7 +363,7 @@ pub(crate) mod avx2 {
     ) {
         debug_assert_eq!(out.len(), n);
         debug_assert_eq!(w.len(), x.len() * n);
-        matvec_bias_cols(x, w, n, 0, bias, out);
+        matvec_bias_cols(x, rows, w, n, bias, out);
     }
 
     /// Rows interleaved by [`matmul_narrow_rows`].
@@ -347,7 +374,7 @@ pub(crate) mod avx2 {
     /// `k` inputs back to back and `out` their `n` outputs.
     ///
     /// Each row keeps one accumulator and all rows share one masked load of
-    /// `w[p]` per contraction step, so the per-row add chains run side by
+    /// `w[p]` per contraction step (`p` over `rows`, ascending), so the per-row add chains run side by
     /// side instead of one latency-bound chain at a time. The reference's
     /// exact-zero skip becomes a mask rather than a branch: a product whose
     /// input is `±0.0` is replaced by `+0.0` (`_CMP_NEQ_UQ` keeps NaN
@@ -357,17 +384,19 @@ pub(crate) mod avx2 {
     /// leaves its bits unchanged even where `0 · w[p]` would have been NaN
     /// (non-finite weights). Per output element this is the reference's
     /// sequence exactly: `acc += a[p] * w[p][j]` over the non-zero `a[p]`
-    /// in ascending `p`, then the bias.
+    /// of `rows` in ascending `p`, then the bias.
     ///
     /// # Safety
     /// AVX2 must be available, and the lengths must match the shape:
     /// `a.len() == NARROW_ROWS * k`, `w.len() == k * n`,
-    /// `out.len() == NARROW_ROWS * n`, and `bias`, if any, holds `n`
-    /// values; loads and stores are unchecked within those bounds.
+    /// `out.len() == NARROW_ROWS * n`, every `p` of `rows` is below `k`,
+    /// and `bias`, if any, holds `n` values; loads and stores are
+    /// unchecked within those bounds.
     #[target_feature(enable = "avx2")]
-    unsafe fn matmul_narrow_rows(
+    unsafe fn matmul_narrow_rows<R: Iterator<Item = usize>>(
         a: &[f32],
         k: usize,
+        rows: R,
         w: &[f32],
         n: usize,
         bias: Option<&[f32]>,
@@ -379,7 +408,7 @@ pub(crate) mod avx2 {
         let mask = tail_mask(n);
         let zero = _mm256_setzero_ps();
         let mut acc = [zero; NARROW_ROWS];
-        for p in 0..k {
+        for p in rows {
             let wv = _mm256_maskload_ps(w.as_ptr().add(p * n), mask);
             for (r, acc) in acc.iter_mut().enumerate() {
                 let va = _mm256_broadcast_ss(a.get_unchecked(r * k + p));
@@ -396,8 +425,9 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Batched `out = a · w (+ bias per row)`; `a` is `m×k`, `w` is `k×n`,
-    /// both row-major.
+    /// Batched `out = a[:, rows] · w[rows, :] (+ bias per row)`; `a` is
+    /// `m×k`, `w` is `k×n`, both row-major. With `rows = 0..k` this is the
+    /// plain product; a shorter list skips the other input columns.
     ///
     /// The kernel is chosen by shape. Wide outputs (`n ≥ 8`, the hidden
     /// layer) run each row through the register-tiled single-row kernel in
@@ -411,11 +441,18 @@ pub(crate) mod avx2 {
     /// ([`matmul_narrow_rows`]); leftover rows take the single-row path.
     /// Either way every output element sees the reference sequence, so a
     /// batched row is bit-identical to [`matvec_bias`] on that row.
+    ///
+    /// # Safety
+    /// AVX2, matching lengths (`a.len() == m * k`, `w.len() == k * n`,
+    /// `out.len() == m * n`, `bias` of length `n`), and every `p` of
+    /// `rows` below `k`.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn matmul_bias(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn matmul_bias<R: Iterator<Item = usize> + Clone>(
         a: &[f32],
         m: usize,
         k: usize,
+        rows: R,
         w: &[f32],
         n: usize,
         bias: Option<&[f32]>,
@@ -428,12 +465,14 @@ pub(crate) mod avx2 {
         if (1..8).contains(&n) {
             while i + NARROW_ROWS <= m {
                 let j = i + NARROW_ROWS;
-                matmul_narrow_rows(&a[i * k..j * k], k, w, n, bias, &mut out[i * n..j * n]);
+                let (a, out) = (&a[i * k..j * k], &mut out[i * n..j * n]);
+                matmul_narrow_rows(a, k, rows.clone(), w, n, bias, out);
                 i = j;
             }
         }
         for i in i..m {
-            matvec_bias_cols(&a[i * k..(i + 1) * k], w, n, 0, bias, &mut out[i * n..(i + 1) * n]);
+            let (x, out) = (&a[i * k..(i + 1) * k], &mut out[i * n..(i + 1) * n]);
+            matvec_bias_cols(x, rows.clone(), w, n, bias, out);
         }
     }
 

@@ -300,6 +300,23 @@ fn assert_rows_match_matvec(
     Ok(())
 }
 
+/// A ragged ascending live-row list over `0..k`: each row is kept unless
+/// its pick is 0, so lists run from empty to full.
+fn live_rows(picks: &[u8], k: usize) -> Vec<usize> {
+    (0..k).filter(|&p| picks[p] != 0).collect()
+}
+
+/// `x` and `w` with every input row outside `rows` set to NaN (`x[p]` and
+/// all of `w[p]`): a row-list kernel that reads a left-out row leaks NaN.
+fn poison_outside(rows: &[usize], x: &[f32], w: &Matrix) -> (Vec<f32>, Matrix) {
+    let (mut x, mut w) = (x.to_vec(), w.clone());
+    for p in (0..x.len()).filter(|p| rows.binary_search(p).is_err()) {
+        x[p] = X86_DEFAULT_NAN;
+        w.row_mut(p).fill(X86_DEFAULT_NAN);
+    }
+    (x, w)
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -324,7 +341,10 @@ fn dw_pij_oracle(x: &Matrix, dy: &Matrix) -> Matrix {
 
 proptest! {
     #[test]
-    fn simd_matvec_bias_is_bitwise_reference((x, w, bias) in matvec_triple()) {
+    fn simd_matvec_bias_is_bitwise_reference(
+        (x, w, bias) in matvec_triple(),
+        picks in proptest::collection::vec(0u8..3, 70),
+    ) {
         let n = w.cols();
         let mut want = vec![0.0f32; n];
         ops::reference::matvec_bias_into(&x, &w, Some(&bias), &mut want);
@@ -341,10 +361,29 @@ proptest! {
         let mut got_nb = vec![f32::NAN; 1];
         ops::matvec_into(&x, &w, &mut got_nb);
         prop_assert_eq!(bits(&got_nb), bits(&want_nb));
+
+        // And over a live-row list: the full list is the plain product;
+        // a ragged one never reads the rows it leaves out, so poisoning
+        // them changes nothing.
+        let all: Vec<usize> = (0..x.len()).collect();
+        let mut got_all = vec![f32::NAN; 2];
+        ops::matvec_bias_rows_into(&x, &all, &w, &bias, &mut got_all);
+        prop_assert_eq!(bits(&got_all), bits(&want));
+        let rows = live_rows(&picks, x.len());
+        let (x, w) = poison_outside(&rows, &x, &w);
+        let mut want_rows = vec![0.0f32; n];
+        ops::reference::matvec_bias_rows_into(&x, &rows, &w, Some(&bias), &mut want_rows);
+        prop_assert!(want_rows.iter().all(|v| !v.is_nan()));
+        let mut got_rows = vec![f32::NAN; n + 5];
+        ops::matvec_bias_rows_into(&x, &rows, &w, &bias, &mut got_rows);
+        prop_assert_eq!(bits(&got_rows), bits(&want_rows));
     }
 
     #[test]
-    fn simd_matmul_bias_is_bitwise_reference((a, w, bias) in matmul_triple(1..=11)) {
+    fn simd_matmul_bias_is_bitwise_reference(
+        (a, w, bias) in matmul_triple(1..=11),
+        picks in proptest::collection::vec(0u8..3, 70),
+    ) {
         let mut want = Matrix::zeros(a.rows(), w.cols());
         ops::reference::matmul_bias_into(&a, &w, Some(&bias), &mut want);
         let mut got = Matrix::filled(2, 3, f32::NAN);
@@ -359,6 +398,32 @@ proptest! {
         let mut got_nb = Matrix::filled(1, 1, f32::NAN);
         ops::matmul_into(&a, &w, &mut got_nb);
         prop_assert_eq!(bits(got_nb.as_slice()), bits(want_nb.as_slice()));
+
+        // And over a live-row list (see the matvec case), row by row equal
+        // to the single-row kernel.
+        let all: Vec<usize> = (0..a.cols()).collect();
+        let mut got_all = Matrix::filled(3, 1, f32::NAN);
+        ops::matmul_bias_rows_into(&a, &all, &w, &bias, &mut got_all);
+        prop_assert_eq!(bits(got_all.as_slice()), bits(want.as_slice()));
+        let rows = live_rows(&picks, a.cols());
+        let mut poisoned = a.clone();
+        let mut pw = w.clone();
+        for r in 0..a.rows() {
+            let (x, w) = poison_outside(&rows, a.row(r), &w);
+            poisoned.row_mut(r).copy_from_slice(&x);
+            pw = w;
+        }
+        let mut want_rows = Matrix::zeros(a.rows(), w.cols());
+        ops::reference::matmul_bias_rows_into(&poisoned, &rows, &pw, Some(&bias), &mut want_rows);
+        prop_assert!(want_rows.as_slice().iter().all(|v| !v.is_nan()));
+        let mut got_rows = Matrix::filled(2, 9, f32::NAN);
+        ops::matmul_bias_rows_into(&poisoned, &rows, &pw, &bias, &mut got_rows);
+        prop_assert_eq!(bits(got_rows.as_slice()), bits(want_rows.as_slice()));
+        let mut row_out = vec![f32::NAN; 3];
+        for r in 0..a.rows() {
+            ops::matvec_bias_rows_into(poisoned.row(r), &rows, &pw, &bias, &mut row_out);
+            prop_assert_eq!(bits(got_rows.row(r)), bits(&row_out), "row {}", r);
+        }
     }
 
     #[test]

@@ -205,38 +205,38 @@ fn measure() -> Vec<(String, [u64; 3])> {
 /// Recorded from a known-good build: `(case, [checkpoint, policies,
 /// telemetry])`.
 const PINS: &[(&str, [u64; 3])] = &[
-    ("PPO/Healthy", [0x9beae7d196e0b505, 0x98338b66dc550df4, 0x9c7368339f335546]),
-    ("FedAvg/Healthy", [0x9f8d943926f0b177, 0x71d98a6ebfed72e5, 0x4548df750675a2c9]),
-    ("MFPO/Healthy", [0x279a8a57c3f2d8db, 0x3d3cbb4b1e31d1fd, 0x69fc084383e48060]),
-    ("PFRL-DM/Healthy", [0x034e5407a37b55a7, 0xdcfc0572b985e636, 0x9568305d84196726]),
-    ("PPO/Faults", [0x9beae7d196e0b505, 0x98338b66dc550df4, 0xa1482e62567ccfc7]),
-    ("FedAvg/Faults", [0x4f56af449091474c, 0xadc18b8aa4e3da16, 0x0f472775e0941687]),
-    ("MFPO/Faults", [0xd5fcec47a11de2ad, 0x7156af8a49cb6ee4, 0x927ec2fbea081a11]),
-    ("PFRL-DM/Faults", [0xb9f9369b3fa2f347, 0xfa793054345eaab6, 0x411cc89439193453]),
-    ("PPO/Attack", [0x9beae7d196e0b505, 0x98338b66dc550df4, 0x9c7368339f335546]),
-    ("FedAvg/Attack", [0xa54360fe2eb702f2, 0x972f205dfe4eefe5, 0xaa3f2fc32ff32f21]),
-    ("MFPO/Attack", [0xbb68055e32d86f53, 0x5d21dc39d0b93961, 0xc51521960c563fda]),
-    ("PFRL-DM/Attack", [0xc5ad8e95256dcfaa, 0x7d9345c74c113447, 0x07dfaa275412cf8c]),
-    ("PPO/Drift", [0xe03432541a8daaf8, 0x1264cd7e782a70a3, 0xd11ed62771607a7e]),
-    ("FedAvg/Drift", [0x94ce0a54eec9bfca, 0xcdbd0cd40a041fb6, 0x64857070507bf4b5]),
-    ("MFPO/Drift", [0x84bd23a1b3e3a42c, 0xbbace68c5a9f2bb3, 0x6b8dcb5bc935d53b]),
-    ("PFRL-DM/Drift", [0x3c76d99c0fce116a, 0xddfb34f87b2daaa9, 0x702f8fd72ace8980]),
-    ("PPO/Workflows", [0xe2bb49358593d799, 0xc004f7b230230466, 0xaa228f5b26cce05e]),
-    ("FedAvg/Workflows", [0x1a2b5a893b37de82, 0x29b0713ac8f5d125, 0x0ef57cd9333b368d]),
-    ("MFPO/Workflows", [0xe5563abf61d5523f, 0xa11db73312f7de65, 0x34fa37ec0210e5a8]),
-    ("PFRL-DM/Workflows", [0x8c0edca8a419be20, 0x0280f71e764ac6e8, 0xd410cbea3d806327]),
-    ("PPO/Parallel", [0x9beae7d196e0b505, 0x98338b66dc550df4, 0x9c7368339f335546]),
-    ("FedAvg/Parallel", [0x9f8d943926f0b177, 0x71d98a6ebfed72e5, 0x4548df750675a2c9]),
-    ("MFPO/Parallel", [0x279a8a57c3f2d8db, 0x3d3cbb4b1e31d1fd, 0x69fc084383e48060]),
-    ("PFRL-DM/Parallel", [0x034e5407a37b55a7, 0xdcfc0572b985e636, 0x9568305d84196726]),
-    ("PPO/full", [0xd056611dd1330c45, 0x3fb7bb76b1ab26b7, 0x264153d1b478677f]),
-    ("FedAvg/full", [0xbaa1c90e3f6ab033, 0xf202ee879d319f19, 0xd315d9ec153c9ac1]),
-    ("MFPO/full", [0x8c1cbed826b819de, 0xd269f981e412b2f3, 0xde383e7613455ca9]),
-    ("PFRL-DM/full", [0xa9126b5d2d99a0c5, 0x397b10a43a12d906, 0x7ddb5621c90bb030]),
-    ("FedAvg/mixing", [0xafdff2a22f05b7e0, 0x4469c85e41113d83, 0x0f9d0577b9911355]),
-    ("FedAvg/secure", [0xf731f36480615fa3, 0x99fe5159ab0095a9, 0x722aa5dcb11dd9cb]),
-    ("PFRL-DM/add_client", [0xc15588ae0fe3d429, 0xd49594807625c5a4, 0x5fe8e87f473da56a]),
-    ("PFRL-DM/fixed_alpha", [0xe86be09a7142dc20, 0xd8f4a682d2ecd46f, 0x6eede354e77f75f0]),
+    ("PPO/Healthy", [0x2a211016ca4bce65, 0xd82015f525d183b2, 0xe42f9d3afed8fdf6]),
+    ("FedAvg/Healthy", [0x79bdbd05bf05efaf, 0x48eb1082e05578ed, 0x407d2d82b107191b]),
+    ("MFPO/Healthy", [0xa28b1e9544d66f3b, 0xe3dc09481551afb1, 0x33355390194ca52e]),
+    ("PFRL-DM/Healthy", [0x9d596cf5509a0247, 0x9d757aeabe29cffe, 0x9a626d6b7764e1ae]),
+    ("PPO/Faults", [0x2a211016ca4bce65, 0xd82015f525d183b2, 0xb580fc70a93612af]),
+    ("FedAvg/Faults", [0x99936230bc4e2633, 0xac3f2c710085b59b, 0x670ec7b7e58f022c]),
+    ("MFPO/Faults", [0x48f7772d5059aeb6, 0xea4c53e9fe22d1be, 0xef59fa4ec09aca42]),
+    ("PFRL-DM/Faults", [0xf5a3cf3241f4a73d, 0x6e003baf30a71689, 0x9c0438fecf49e867]),
+    ("PPO/Attack", [0x2a211016ca4bce65, 0xd82015f525d183b2, 0xe42f9d3afed8fdf6]),
+    ("FedAvg/Attack", [0x9bea70589b43427a, 0x73786d9910bc8d1d, 0x06d6599daf1c20ec]),
+    ("MFPO/Attack", [0xb49bdf8545e26ece, 0x078f98114f874281, 0x865f6e4e479e2175]),
+    ("PFRL-DM/Attack", [0x925a793a4b02c853, 0x083e0a40d327fc33, 0x3d72a45b7ed45752]),
+    ("PPO/Drift", [0x018f52656e1a9e97, 0x1e3716e7096b8d15, 0x03f6f5954f627717]),
+    ("FedAvg/Drift", [0x5cdfd9909c06583b, 0x61ff343d41580c1f, 0xfb32ed310ad89212]),
+    ("MFPO/Drift", [0x8f8f04eba19caf3d, 0xa54245461b24aae0, 0xe12fbee1f8840a13]),
+    ("PFRL-DM/Drift", [0xf04af09b4ac7469e, 0xefafc055666cdae6, 0x1efa378fc5cc0e5e]),
+    ("PPO/Workflows", [0x80f535ca6b55c13a, 0xa17870baa9eadb48, 0x8f9c6e6306f22096]),
+    ("FedAvg/Workflows", [0x05df4268f1cf55f8, 0xcf74ce5d6d4d2a85, 0xd1bd1e86daa26c38]),
+    ("MFPO/Workflows", [0xf1840612a46762cd, 0x6a0c35a0804a4d19, 0x95a5efeede25dcf5]),
+    ("PFRL-DM/Workflows", [0xc593c96c64784810, 0x24c8e3d0e08a169e, 0x2c26814f8ead3dcd]),
+    ("PPO/Parallel", [0x2a211016ca4bce65, 0xd82015f525d183b2, 0xe42f9d3afed8fdf6]),
+    ("FedAvg/Parallel", [0x79bdbd05bf05efaf, 0x48eb1082e05578ed, 0x407d2d82b107191b]),
+    ("MFPO/Parallel", [0xa28b1e9544d66f3b, 0xe3dc09481551afb1, 0x33355390194ca52e]),
+    ("PFRL-DM/Parallel", [0x9d596cf5509a0247, 0x9d757aeabe29cffe, 0x9a626d6b7764e1ae]),
+    ("PPO/full", [0xb1ed04620c3ea8f6, 0x3648ccda13266f60, 0x87106df3da02a469]),
+    ("FedAvg/full", [0x88d54ce3aa1e60a5, 0x118aefdaa88d119c, 0xfbce89400089661a]),
+    ("MFPO/full", [0xd2492026fa5f9199, 0x3adc0b17d8f4bc17, 0x6b9445320468f874]),
+    ("PFRL-DM/full", [0x3918b823fd0f76a5, 0x548f1ef3dadad37f, 0x48cc80dec4fa8ae0]),
+    ("FedAvg/mixing", [0x303003365184730f, 0x9df19b7b04af5efb, 0xba55043f5bf380a0]),
+    ("FedAvg/secure", [0xc23247f0c4d440ac, 0x99fe5159ab0095a9, 0xe5da7c18ca65c199]),
+    ("PFRL-DM/add_client", [0xe15aa432b91c1cad, 0x0868c0367d9c2152, 0x5ec29804f827f627]),
+    ("PFRL-DM/fixed_alpha", [0x08bc4ff8426d3625, 0xfd4503a8b0f71fbc, 0x1e91b9ddec8c27c9]),
 ];
 
 #[test]
