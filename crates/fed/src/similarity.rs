@@ -41,14 +41,22 @@ pub fn mean_row_entropy(w: &Matrix) -> f64 {
 /// the probe states, and client `i` weights client `j` by
 /// `softmax_j(−KL(p_i ‖ p_j))`.
 ///
+/// A trained critic's input layer is folded for its own fleet
+/// ([`Mlp::fold_inputs`]), whose void columns may hold real values in the
+/// probe states, so each critic is evaluated on a copy with every input
+/// column live.
+///
 /// # Panics
 /// If `critics` is empty or a critic's input dim mismatches `probe_states`.
 pub fn kl_weights(critics: &[Mlp], probe_states: &Matrix) -> Matrix {
     assert!(!critics.is_empty(), "kl_weights: no critics");
     let k = critics.len();
+    let every_column: Vec<usize> = (0..probe_states.cols()).collect();
     let dists: Vec<Vec<f64>> = critics
         .iter()
         .map(|c| {
+            let mut c = c.clone();
+            c.fold_inputs(&every_column);
             let out = c.forward(probe_states);
             let mut vals: Vec<f32> = (0..out.rows()).map(|i| out[(i, 0)]).collect();
             ops::softmax_inplace(&mut vals);
@@ -124,6 +132,18 @@ mod tests {
         // self weight and is at least the weight on the different client.
         assert!((w[(0, 1)] - w[(0, 0)]).abs() < 1e-5);
         assert!(w[(0, 1)] >= w[(0, 2)] - 1e-6);
+    }
+
+    /// Critics folded for different fleets weigh the shared probe states
+    /// exactly as their unfolded selves, though the probes hold real
+    /// values in columns some of them fold away.
+    #[test]
+    fn kl_ignores_each_critics_fold() {
+        let plain: Vec<Mlp> = (0..3).map(mk_critic).collect();
+        let mut folded = plain.clone();
+        folded[0].fold_inputs(&[0, 2, 3]);
+        folded[1].fold_inputs(&[1]);
+        assert_eq!(kl_weights(&folded, &probe()), kl_weights(&plain, &probe()));
     }
 
     #[test]
