@@ -167,15 +167,11 @@ impl<A: FedAgent> Client<A> {
 
     /// Switches the client to dependency-aware workflow episodes, training
     /// on windows of `pool`. `per_episode` bounds the workflows per episode
-    /// window (`None` = the whole pool every episode).
-    ///
-    /// The switch resets the environment's telemetry to the noop handle: a
-    /// workflow run records no `sim/*` metrics unless [`Self::set_telemetry`]
-    /// follows, and the workflow rows of `tests/runner_pins.rs` pin exactly
-    /// that telemetry.
+    /// window (`None` = the whole pool every episode). The environment keeps
+    /// its telemetry handle, so a workflow run records its `sim/*` metrics
+    /// whichever of this and [`Self::set_telemetry`] comes first.
     pub fn use_workflows(&mut self, pool: Vec<Workflow>, per_episode: Option<usize>) {
         assert!(!pool.is_empty(), "client {} has no workflows", self.name);
-        self.env.set_telemetry(Telemetry::noop());
         self.workflows = pool;
         self.workflows_per_episode = per_episode;
     }

@@ -128,6 +128,18 @@ impl Linear {
         }
     }
 
+    /// An `in_dim × out_dim` layer of zero weights and bias.
+    pub(crate) fn zeros(in_dim: usize, out_dim: usize) -> Self {
+        Self {
+            w: Matrix::zeros(in_dim, out_dim),
+            b: vec![0.0; out_dim],
+            dw: Matrix::zeros(in_dim, out_dim),
+            db: vec![0.0; out_dim],
+            dw_scratch: Matrix::zeros(0, 0),
+            wt_scratch: Matrix::zeros(0, 0),
+        }
+    }
+
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
         self.w.rows()

@@ -107,7 +107,30 @@ impl Mlp {
     /// If fewer than two sizes are given.
     pub fn new(sizes: &[usize], activation: Activation, rng: &mut impl Rng) -> Self {
         assert!(sizes.len() >= 2, "Mlp needs at least input and output sizes");
-        let layers: Vec<Linear> = sizes.windows(2).map(|w| Linear::new(w[0], w[1], rng)).collect();
+        Self::with_layers(
+            sizes.windows(2).map(|w| Linear::new(w[0], w[1], rng)).collect(),
+            activation,
+        )
+    }
+
+    /// Builds an MLP with the given layer sizes holding `params` (the
+    /// [`Mlp::flat_params`] layout) — bitwise the network that
+    /// [`Mlp::new`] followed by [`Mlp::set_flat_params`] gives, without
+    /// drawing initial weights only to overwrite them.
+    ///
+    /// # Panics
+    /// If fewer than two sizes are given, or `params` does not hold exactly
+    /// the parameters of that shape.
+    pub fn from_flat_params(sizes: &[usize], activation: Activation, params: &[f32]) -> Self {
+        assert!(sizes.len() >= 2, "Mlp needs at least input and output sizes");
+        let layers = sizes.windows(2).map(|w| Linear::zeros(w[0], w[1])).collect();
+        let mut net = Self::with_layers(layers, activation);
+        net.set_flat_params(params);
+        net
+    }
+
+    /// Wraps built layers with the identity fold and empty workspaces.
+    fn with_layers(layers: Vec<Linear>, activation: Activation) -> Self {
         Self {
             fold: InputFold::identity(&layers[0]),
             layers,
@@ -359,6 +382,17 @@ impl Mlp {
         &self.fold.live
     }
 
+    /// Exchanges the two networks' functions — layers (weights, with their
+    /// gradients), activation and input fold — in O(1), while each keeps
+    /// its own workspaces. A network whose buffers are sized for its
+    /// caller's batches takes on the other's weights without copying them
+    /// and without allocating on its next same-shaped forward.
+    pub fn swap_weights(&mut self, other: &mut Mlp) {
+        std::mem::swap(&mut self.layers, &mut other.layers);
+        std::mem::swap(&mut self.activation, &mut other.activation);
+        std::mem::swap(&mut self.fold, &mut other.fold);
+    }
+
     /// Recomputes the folded input bias after a parameter write.
     pub(crate) fn refold(&mut self) {
         self.fold.refold(&self.layers[0]);
@@ -438,6 +472,56 @@ mod tests {
         assert_ne!(net.forward(&x), other.forward(&x));
         other.set_flat_params(&net.flat_params());
         assert_eq!(net.forward(&x), other.forward(&x));
+    }
+
+    #[test]
+    fn from_flat_params_equals_new_then_set() {
+        let src = mlp(&[6, 10, 4], 4);
+        let params = src.flat_params();
+        let mut want = mlp(&[6, 10, 4], 99);
+        want.set_flat_params(&params);
+        let built = Mlp::from_flat_params(&[6, 10, 4], Activation::Tanh, &params);
+        assert_eq!(built.flat_params(), params);
+        assert_eq!(built.flat_grads(), want.flat_grads());
+        assert_eq!(built.fold.bias, want.fold.bias);
+        let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3, 1.0, -1.0, 0.5]]);
+        assert_eq!(built.forward(&x), want.forward(&x));
+    }
+
+    #[test]
+    #[should_panic(expected = "expected")]
+    fn from_flat_params_rejects_wrong_length() {
+        Mlp::from_flat_params(&[2, 2], Activation::Tanh, &[0.0; 5]);
+    }
+
+    /// `swap_weights` moves each network's function, fold included, to
+    /// the other and leaves each network's workspace where it was.
+    #[test]
+    fn swap_weights_exchanges_functions_not_workspaces() {
+        let mut a = mlp(&[3, 5, 2], 1);
+        let mut b = mlp(&[3, 5, 2], 2);
+        b.fold_inputs(&[0, 2]);
+        let x = Matrix::from_rows(&[&[0.5, -1.0, 0.25], &[1.0, -1.0, -0.5]]);
+        let (fa, fb) = (a.forward(&x), b.forward(&x));
+        let mut out = Matrix::zeros(0, 0);
+        // Two forwards size both workspace matrices, which every forward
+        // ping-pongs; compare them as a set.
+        a.forward_into(&x, &mut out);
+        a.forward_into(&x, &mut out);
+        let ws = |n: &Mlp| {
+            let mut p = [n.ws_a.as_slice().as_ptr(), n.ws_b.as_slice().as_ptr()];
+            p.sort();
+            p
+        };
+        let before = ws(&a);
+        a.swap_weights(&mut b);
+        assert_eq!(a.live_inputs(), &[0, 2]);
+        assert_eq!(b.live_inputs(), &[0, 1, 2]);
+        assert_eq!((a.forward(&x), b.forward(&x)), (fb, fa.clone()));
+        a.forward_into(&x, &mut out);
+        assert_eq!(ws(&a), before, "the workspace stays put");
+        b.forward_into(&x, &mut out);
+        assert_eq!(out, fa);
     }
 
     /// `x · W + b` with input column 1 folded as `-1`: the folded bias

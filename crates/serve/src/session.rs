@@ -14,8 +14,6 @@ use pfrl_nn::{Activation, Mlp};
 use pfrl_rl::policy;
 use pfrl_sim::{Action, CloudEnv, EpisodeMetrics};
 use pfrl_workloads::TaskSpec;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// The outcome of one served scheduling decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,10 +131,8 @@ impl Mirror {
 /// Builds the actor network of a `sizes`-shaped policy holding `params`,
 /// its input layer folded for a fleet whose live state columns are `live`.
 pub(crate) fn build_actor(sizes: &[usize], params: &[f32], live: &[usize]) -> Mlp {
-    // The seed is irrelevant: every weight is overwritten immediately.
-    let mut actor = Mlp::new(sizes, Activation::Tanh, &mut SmallRng::seed_from_u64(0));
+    let mut actor = Mlp::from_flat_params(sizes, Activation::Tanh, params);
     actor.fold_inputs(live);
-    actor.set_flat_params(params);
     actor
 }
 

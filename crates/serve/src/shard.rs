@@ -48,12 +48,24 @@
 //! state matrix and checks every logit is finite — the serving invariant
 //! the eval gate enforces offline. The old snapshot keeps serving. Once
 //! the candidate has shadowed `shadow_target` decisions the ramp commits
-//! (a single atomic CAS); every shard loads the new parameters into its
-//! plans at its next wave boundary, after which no decision carries a
-//! retired version. A session opened after the commit starts on it.
-//! A non-finite shadow logit (or invalid candidate parameters at publish
-//! time) rolls the ramp back automatically — serving traffic never sees
-//! the poisoned snapshot.
+//! (a single atomic CAS); every shard cuts over at its next wave boundary,
+//! after which no decision carries a retired version. A session opened
+//! after the commit starts on it. A non-finite shadow logit (or invalid
+//! candidate parameters at publish time) rolls the ramp back
+//! automatically — serving traffic never sees the poisoned snapshot.
+//!
+//! Waves never copy a candidate that a shard was ready for.
+//! [`publish`](ShardedDecisionService::publish) loads it outside every
+//! shard lock: one network per shard and per fleet that the client's
+//! stored snapshots mirror, folded for that fleet, each refilled from the
+//! shard's spares when it has one. A shard's first wave after the publish
+//! moves these into its plans' shadow slots, and its cutover swaps each
+//! plan's shadow actor with its serving actor ([`Mlp::swap_weights`],
+//! O(1)). Settling a ramp hands every shadow actor (after a commit, the
+//! retired weights) back to the shard's spares for the next publish to
+//! refill. Only a plan that never loaded the ramp copies its parameters:
+//! on a shard that never held the ramp, a plan created mid-ramp, or a
+//! second plan on one fleet.
 
 use crate::session::{build_actor, Decision, Mirror};
 use crate::store::PolicyStore;
@@ -195,6 +207,10 @@ struct RampCore {
     version: u64,
     sizes: [usize; 3],
     params: Vec<f32>,
+    /// The candidate as `publish` loaded it: `(shard, network)` pairs, one
+    /// per shard and fleet, each folded for its fleet. A shard takes its
+    /// own when it takes the ramp; the next publish reclaims the rest.
+    prepared: Mutex<Vec<(usize, Mlp)>>,
     shadow_target: u64,
     shadow_ok: AtomicU64,
     state: AtomicU8,
@@ -250,13 +266,32 @@ struct Plan {
     sizes: [usize; 3],
     actor: Mlp,
     /// The shard's ramp candidate and its layer sizes, folded like `actor`,
-    /// while the ramp shadows this plan. Kept across ramps, so a ramp of
-    /// the same shape loads into it without allocating inside a wave.
-    shadow: Option<([usize; 3], Mlp)>,
+    /// while the ramp shadows this plan. The cutover swaps it with `actor`;
+    /// settling the ramp hands it to the shard's spares.
+    shadow: Option<Spare>,
     /// Slots of this plan's members in the wave being assembled.
     rows: Vec<usize>,
     states: Matrix,
     logits: Matrix,
+}
+
+/// A network and its layer sizes, free for a publish to load a candidate
+/// into.
+type Spare = ([usize; 3], Mlp);
+
+/// `core`'s candidate folded for the fleet whose live state columns are
+/// `live`: a spare of its shape refilled, or a new network if `spares`
+/// holds none.
+fn candidate_actor(core: &RampCore, live: &[usize], spares: &mut Vec<Spare>) -> Mlp {
+    match spares.iter().rposition(|(sizes, _)| *sizes == core.sizes) {
+        Some(i) => {
+            let (_, mut actor) = spares.swap_remove(i);
+            actor.fold_inputs(live);
+            actor.set_flat_params(&core.params);
+            actor
+        }
+        None => build_actor(&core.sizes, &core.params, live),
+    }
 }
 
 struct Entry {
@@ -327,6 +362,7 @@ impl Shard {
         sizes: [usize; 3],
         params: &[f32],
         live: &[usize],
+        spares: &Mutex<Vec<Spare>>,
     ) -> usize {
         let found = self.plans.iter().position(|p| {
             p.version == version && p.client == client && p.actor.live_inputs() == live
@@ -345,45 +381,70 @@ impl Shard {
             logits: Matrix::zeros(0, 0),
         };
         if let Some(core) = self.ramp.as_ref().filter(|c| plan.shadowed_by(c)) {
-            plan.load_shadow(core);
+            let spares = &mut spares.lock().expect("spares lock poisoned");
+            let actor = candidate_actor(core, plan.actor.live_inputs(), spares);
+            plan.shadow = Some((core.sizes, actor));
         }
         self.plans.push(plan);
         self.plans.len() - 1
     }
 
-    /// Reacts to the shard's ramp reaching a terminal state: a committed
-    /// ramp is applied to this shard's plans (the cutover point for this
-    /// shard); a rolled-back ramp is discarded.
-    fn settle_ramp(&mut self) {
-        let Some(core) = self.ramp.clone() else { return };
-        match core.status() {
-            RampStatus::Shadow => return,
-            RampStatus::Committed => self.apply_commit(&core),
-            RampStatus::RolledBack => {}
-        }
-        self.ramp = None;
-    }
-
-    /// Applies a committed ramp: every plan of the ramped client at an
-    /// older version adopts the candidate parameters, and with them every
-    /// member session. Idempotent: a ramp this shard already applied
-    /// changes nothing.
-    fn apply_commit(&mut self, core: &RampCore) {
+    /// Reacts to the shard's ramp reaching a terminal state, the cutover
+    /// point for this shard: a committed ramp swaps each shadow actor with
+    /// its plan's actor, and every shadow actor goes to `spares` — after a
+    /// commit holding the retired weights, after a rollback the candidate.
+    fn settle_ramp(&mut self, spares: &Mutex<Vec<Spare>>) {
+        let Some(core) = self.ramp.take_if(|c| c.status() != RampStatus::Shadow) else {
+            return;
+        };
+        let committed = core.status() == RampStatus::Committed;
+        let mut spares = spares.lock().expect("spares lock poisoned");
         for plan in &mut self.plans {
-            if plan.client == core.client && plan.version < core.version {
-                plan.actor.set_flat_params(&core.params);
+            // `publish` admits only candidates shaped like every stored
+            // snapshot of their client, so the swapped networks share `sizes`.
+            let Some((sizes, mut shadow)) = plan.shadow.take() else { continue };
+            if committed {
+                plan.actor.swap_weights(&mut shadow);
                 plan.version = core.version;
             }
+            spares.push((sizes, shadow));
+        }
+        drop(spares);
+        if committed {
+            self.apply_commit(&core);
         }
     }
 
-    /// Takes `core` as this shard's ramp and loads its candidate into the
-    /// shadow actor of every plan it shadows (a plan created later loads
-    /// it in [`Shard::plan_index`]).
-    fn take_ramp(&mut self, core: Arc<RampCore>) {
-        for plan in self.plans.iter_mut().filter(|p| p.shadowed_by(&core)) {
-            plan.load_shadow(&core);
+    /// Applies a committed ramp to the plans that did not shadow it: every
+    /// plan of the ramped client at an older version copies the candidate
+    /// parameters, and with them every member session adopts it.
+    /// Idempotent: a ramp this shard already applied changes nothing.
+    fn apply_commit(&mut self, core: &RampCore) {
+        for plan in self.plans.iter_mut().filter(|p| p.shadowed_by(core)) {
+            plan.actor.set_flat_params(&core.params);
+            plan.version = core.version;
         }
+    }
+
+    /// Takes `core` as shard `shard`'s ramp and gives every plan it
+    /// shadows a shadow actor holding the candidate: the network `publish`
+    /// prepared for this shard and the plan's fleet, or, for a second plan
+    /// on one fleet, a copy (a plan created later gets one in
+    /// [`Shard::plan_index`]).
+    fn take_ramp(&mut self, core: Arc<RampCore>, shard: usize, spares: &Mutex<Vec<Spare>>) {
+        let mut prepared = core.prepared.lock().expect("prepared lock poisoned");
+        for plan in self.plans.iter_mut().filter(|p| p.shadowed_by(&core)) {
+            let live = plan.actor.live_inputs();
+            let ready = prepared.iter().position(|(s, a)| *s == shard && a.live_inputs() == live);
+            let actor = match ready {
+                Some(i) => prepared.swap_remove(i).1,
+                None => {
+                    candidate_actor(&core, live, &mut spares.lock().expect("spares lock poisoned"))
+                }
+            };
+            plan.shadow = Some((core.sizes, actor));
+        }
+        drop(prepared);
         self.ramp = Some(core);
     }
 }
@@ -393,20 +454,6 @@ impl Plan {
     /// an older version of the ramped client.
     fn shadowed_by(&self, core: &RampCore) -> bool {
         self.client == core.client && self.version < core.version
-    }
-
-    /// Loads `core`'s candidate into this plan's shadow actor, folded for
-    /// the plan's fleet, building the actor only when the shape changed.
-    /// Loading is `set_flat_params`: a copy plus the refold of the input
-    /// bias.
-    fn load_shadow(&mut self, core: &RampCore) {
-        match &mut self.shadow {
-            Some((sizes, actor)) if *sizes == core.sizes => actor.set_flat_params(&core.params),
-            slot => {
-                let actor = build_actor(&core.sizes, &core.params, self.actor.live_inputs());
-                *slot = Some((core.sizes, actor));
-            }
-        }
     }
 }
 
@@ -450,6 +497,9 @@ pub struct ShardedDecisionService {
     store: PolicyStore,
     cfg: ShardedServeConfig,
     shards: Vec<Mutex<Shard>>,
+    /// Per shard, networks that settled ramps handed back; `publish` loads
+    /// candidates into them. Lock order: shard, ramp board, spares.
+    spares: Vec<Mutex<Vec<Spare>>>,
     next_seq: AtomicU64,
     /// Bumped on publish; shards lazily pick up the new ramp at wave start.
     ramp_epoch: AtomicU64,
@@ -467,6 +517,7 @@ impl ShardedDecisionService {
             store,
             cfg,
             shards: (0..cfg.shards).map(|_| Mutex::new(Shard::new())).collect(),
+            spares: (0..cfg.shards).map(|_| Mutex::default()).collect(),
             next_seq: AtomicU64::new(0),
             ramp_epoch: AtomicU64::new(0),
             ramp: Mutex::new(RampBoard::default()),
@@ -507,13 +558,12 @@ impl ShardedDecisionService {
         let shard_idx = (splitmix64(seq) % self.cfg.shards as u64) as usize;
         let mirror = Mirror::new(snap);
         let live = mirror.live_columns();
-        let mut shard = self.lock(shard_idx);
-        let plan = match ramp {
-            Some(c) => shard.plan_index(&c.client, c.version, c.sizes, &c.params, live),
-            None => {
-                shard.plan_index(&snap.client, snap.version, snap.sizes(), &snap.actor_params, live)
-            }
+        let (client, version, sizes, params) = match &ramp {
+            Some(c) => (&c.client, c.version, c.sizes, &c.params),
+            None => (&snap.client, snap.version, snap.sizes(), &snap.actor_params),
         };
+        let mut shard = self.lock(shard_idx);
+        let plan = shard.plan_index(client, version, sizes, params, live, &self.spares[shard_idx]);
         let slot = match shard.free.pop() {
             Some(s) => s,
             None => {
@@ -684,7 +734,7 @@ impl ShardedDecisionService {
     pub fn decide_wave_into(&self, shard_idx: usize, out: &mut Vec<(SessionId, Decision)>) {
         let mut shard = self.lock(shard_idx);
         let shard = &mut *shard;
-        self.sync_ramp(shard);
+        self.sync_ramp(shard, shard_idx);
 
         // Collect the wave: pop → resolve → one-decision-per-session.
         shard.wave.clear();
@@ -797,26 +847,27 @@ impl ShardedDecisionService {
     }
 
     /// Picks up a newly published ramp and settles terminal ones (see
-    /// [`Shard::settle_ramp`]). Every commit is applied *before* a newer
-    /// publish replaces it — the one this shard held, and any it never saw
-    /// because it ran no wave between that commit and the next publish —
-    /// so the retired version stops serving here either way. Between
-    /// publishes this is one epoch compare.
-    fn sync_ramp(&self, shard: &mut Shard) {
+    /// [`Shard::settle_ramp`]) for shard `idx`. Every commit is applied
+    /// *before* a newer publish replaces it — the one this shard held, and
+    /// any it never saw because it ran no wave between that commit and the
+    /// next publish — so the retired version stops serving here either way.
+    /// Between publishes this is one epoch compare.
+    fn sync_ramp(&self, shard: &mut Shard, idx: usize) {
+        let spares = &self.spares[idx];
         let epoch = self.ramp_epoch.load(Ordering::Acquire);
         if shard.seen_epoch != epoch {
-            shard.settle_ramp();
+            shard.settle_ramp(spares);
             shard.seen_epoch = epoch;
             let board = self.ramp.lock().expect("ramp lock poisoned");
             for core in &board.committed {
                 shard.apply_commit(core);
             }
             match board.active.clone() {
-                Some(core) => shard.take_ramp(core),
+                Some(core) => shard.take_ramp(core, idx, spares),
                 None => shard.ramp = None,
             }
         }
-        shard.settle_ramp();
+        shard.settle_ramp(spares);
     }
 
     /// Publishes `candidate` as a version ramp for its client: the
@@ -827,23 +878,31 @@ impl ShardedDecisionService {
     /// Returns the handle even when validation fails — the caller
     /// observes the rollback through it — but refuses with
     /// [`ServeError::RampRejected`] if another ramp is still shadowing,
-    /// the client is unknown, or the candidate's shape disagrees with the
-    /// serving fleet.
+    /// the client is unknown, or the candidate's shape disagrees with one
+    /// of the client's stored snapshots.
+    ///
+    /// A valid candidate is loaded here, before any shard sees the ramp
+    /// and without taking a shard lock: for every shard, one network per
+    /// fleet that the client's stored snapshots mirror, folded for that
+    /// fleet. Each is a spare of that shard refilled, so once a shard has
+    /// settled a ramp the load builds no network. The waves only move
+    /// these networks; see the module docs.
     pub fn publish(
         &self,
         candidate: &PolicySnapshot,
         shadow_target: u64,
     ) -> Result<RampHandle, ServeError> {
         assert!(shadow_target >= 1, "shadow_target must be >= 1");
-        let serving = self
-            .store
-            .latest(&candidate.client)
-            .ok_or_else(|| ServeError::UnknownPolicy(candidate.client.clone()))?;
-        if candidate.sizes() != serving.sizes() {
+        let stored = || self.store.iter().filter(|s| s.client == candidate.client);
+        if stored().next().is_none() {
+            return Err(ServeError::UnknownPolicy(candidate.client.clone()));
+        }
+        if let Some(other) = stored().find(|s| s.sizes() != candidate.sizes()) {
             return Err(ServeError::RampRejected(format!(
-                "candidate sizes {:?} do not match serving sizes {:?}",
+                "candidate sizes {:?} do not match sizes {:?} of stored version {}",
                 candidate.sizes(),
-                serving.sizes()
+                other.sizes(),
+                other.version
             )));
         }
         let mut board = self.ramp.lock().expect("ramp lock poisoned");
@@ -860,6 +919,7 @@ impl ShardedDecisionService {
             version: candidate.version,
             sizes: candidate.sizes(),
             params: candidate.actor_params.clone(),
+            prepared: Mutex::default(),
             shadow_target,
             shadow_ok: AtomicU64::new(0),
             state: AtomicU8::new(RAMP_SHADOW),
@@ -872,6 +932,25 @@ impl ShardedDecisionService {
             self.telemetry.counter("serve/ramp_rollbacks", 1);
             return Ok(RampHandle { core });
         }
+        // The previous ramp is settled: what no shard took becomes spares.
+        if let Some(prev) = &board.active {
+            for (s, actor) in prev.prepared.lock().expect("prepared lock poisoned").drain(..) {
+                self.spares[s].lock().expect("spares lock poisoned").push((prev.sizes, actor));
+            }
+        }
+        let mut fleets: Vec<Vec<usize>> = Vec::new();
+        for snap in stored() {
+            let live = pfrl_sim::state::live_columns(&snap.dims, &snap.vms);
+            if !fleets.contains(&live) {
+                fleets.push(live);
+            }
+        }
+        let mut prepared = Vec::with_capacity(self.spares.len() * fleets.len());
+        for (s, spares) in self.spares.iter().enumerate() {
+            let spares = &mut spares.lock().expect("spares lock poisoned");
+            prepared.extend(fleets.iter().map(|live| (s, candidate_actor(&core, live, spares))));
+        }
+        *core.prepared.lock().expect("prepared lock poisoned") = prepared;
         if let Some(prev) = board.active.replace(core.clone()) {
             if prev.status() == RampStatus::Committed {
                 board.record_commit(prev);
@@ -1209,11 +1288,24 @@ mod tests {
         }
         let mut candidate = tiny_snapshot("a");
         candidate.version += 1;
+        for p in &mut candidate.actor_params {
+            *p = -*p;
+        }
+        // Where the first-layer weights of the session's plan actor (or of
+        // its shadow actor) live.
+        let weights_of = |id: SessionId, shadow: bool| {
+            let shard = svc.lock(shard_of(id));
+            let plan = &shard.plans[shard.slots[slot_of(id)].as_ref().unwrap().plan];
+            let actor =
+                if shadow { &plan.shadow.as_ref().expect("shadow loaded").1 } else { &plan.actor };
+            actor.layers()[0].w.as_slice().as_ptr()
+        };
         let ramp = svc.publish(&candidate, 1).unwrap();
         // Only the leading shard runs a wave: it shadows and commits.
         svc.submit(lead).unwrap();
         svc.decide_wave(shard_of(lead));
         assert_eq!(ramp.status(), RampStatus::Committed);
+        let shadowed = weights_of(lead, true);
         // A newer ramp is published before the lagging shard's next wave,
         // so that shard never holds the committed ramp itself.
         let mut next = tiny_snapshot("b");
@@ -1223,6 +1315,22 @@ mod tests {
             svc.submit(id).unwrap();
             let out = svc.decide_wave(shard_of(id));
             assert_eq!(out[0].1.version, candidate.version, "retired version served");
+        }
+        // The leading shard cut over by swapping its shadow actor in; the
+        // lagging one, which never loaded the ramp, copied the parameters.
+        assert_eq!(weights_of(lead, false), shadowed, "the cutover copied the candidate");
+        // Whole episodes after the commit, on either path, are a standalone
+        // session's on the candidate.
+        let tasks = tiny_tasks(30);
+        for id in [lead, lag] {
+            svc.begin_episode(id, &tasks).unwrap();
+            let mut reference = crate::Session::new(&candidate).unwrap();
+            reference.begin_episode(&tasks);
+            while !reference.is_done() {
+                svc.submit(id).unwrap();
+                let out = svc.decide_wave(shard_of(id));
+                assert_eq!(out[0].1, reference.decide(), "shard {}", shard_of(id));
+            }
         }
     }
 
@@ -1236,9 +1344,32 @@ mod tests {
         let ramp = svc.publish(&poisoned, 4).unwrap();
         assert_eq!(ramp.status(), RampStatus::RolledBack);
         assert_eq!(ramp.shadowed(), 0);
+        // Finite weights pass validation but overflow in shadow: the ramp
+        // rolls back in the wave that shadows it, and the old snapshot's
+        // actor, never touched, decides that wave and every later one.
+        let old = tiny_snapshot("a");
+        let id = svc.open_session("a").unwrap();
+        let tasks = tiny_tasks(30);
+        svc.begin_episode(id, &tasks).unwrap();
+        let mut overflowing = old.clone();
+        overflowing.version += 2;
+        overflowing.actor_params.fill(f32::MAX);
+        let ramp = svc.publish(&overflowing, 4).unwrap();
+        let mut reference = crate::Session::new(&old).unwrap();
+        reference.begin_episode(&tasks);
+        while !reference.is_done() {
+            svc.submit(id).unwrap();
+            let out = svc.decide_wave(shard_of(id));
+            assert_eq!(ramp.status(), RampStatus::RolledBack);
+            assert_eq!(out[0].1, reference.decide(), "the rolled-back candidate served");
+        }
+        assert_eq!(ramp.shadowed(), 0);
+        let shard = svc.lock(shard_of(id));
+        assert!(shard.plans.iter().all(|p| p.shadow.is_none()), "the shadow actor was kept");
+        drop(shard);
         // A fresh, healthy ramp can start immediately afterwards.
         let mut healthy = tiny_snapshot("a");
-        healthy.version += 2;
+        healthy.version += 3;
         assert!(svc.publish(&healthy, 1).is_ok());
     }
 

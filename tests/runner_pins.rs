@@ -221,10 +221,10 @@ const PINS: &[(&str, [u64; 3])] = &[
     ("FedAvg/Drift", [0x5cdfd9909c06583b, 0x61ff343d41580c1f, 0xfb32ed310ad89212]),
     ("MFPO/Drift", [0x8f8f04eba19caf3d, 0xa54245461b24aae0, 0xe12fbee1f8840a13]),
     ("PFRL-DM/Drift", [0xf04af09b4ac7469e, 0xefafc055666cdae6, 0x1efa378fc5cc0e5e]),
-    ("PPO/Workflows", [0x80f535ca6b55c13a, 0xa17870baa9eadb48, 0x8f9c6e6306f22096]),
-    ("FedAvg/Workflows", [0x05df4268f1cf55f8, 0xcf74ce5d6d4d2a85, 0xd1bd1e86daa26c38]),
-    ("MFPO/Workflows", [0xf1840612a46762cd, 0x6a0c35a0804a4d19, 0x95a5efeede25dcf5]),
-    ("PFRL-DM/Workflows", [0xc593c96c64784810, 0x24c8e3d0e08a169e, 0x2c26814f8ead3dcd]),
+    ("PPO/Workflows", [0x80f535ca6b55c13a, 0xa17870baa9eadb48, 0x774d78f67d88a693]),
+    ("FedAvg/Workflows", [0x05df4268f1cf55f8, 0xcf74ce5d6d4d2a85, 0x927d3395ab450702]),
+    ("MFPO/Workflows", [0xf1840612a46762cd, 0x6a0c35a0804a4d19, 0x2577a2323438c7fb]),
+    ("PFRL-DM/Workflows", [0xc593c96c64784810, 0x24c8e3d0e08a169e, 0x0de526c213e1dda4]),
     ("PPO/Parallel", [0x2a211016ca4bce65, 0xd82015f525d183b2, 0xe42f9d3afed8fdf6]),
     ("FedAvg/Parallel", [0x79bdbd05bf05efaf, 0x48eb1082e05578ed, 0x407d2d82b107191b]),
     ("MFPO/Parallel", [0xa28b1e9544d66f3b, 0xe3dc09481551afb1, 0x33355390194ca52e]),

@@ -361,11 +361,22 @@ fn hot_paths_are_allocation_free_after_warmup() {
 
     // Across a hot-swap ramp: after one warm publish → shadow → commit →
     // cutover cycle has sized each shard's shadow actor, a second ramp's
-    // shadow waves and cutover wave load the candidate into that actor and
-    // the plans, and allocate nothing. `publish` stays outside the count:
-    // it must copy the candidate. The shadow target spans several rounds,
-    // so every shard shadows in both cycles.
+    // shadow waves and cutover wave move the candidate that `publish`
+    // loaded into the plans, and allocate nothing. `publish` stays outside
+    // the wave count: it must copy the candidate. But it loads the
+    // candidate into networks the first cutover handed back, so it builds
+    // none: it allocates less, and fewer than twice the parameter bytes,
+    // than building one actor does. The shadow target spans several
+    // rounds, so every shard shadows in both cycles.
     use pfrl_core::serve::RampStatus;
+    let live = pfrl_core::sim::state::live_columns(&snapshot.dims, &snapshot.vms);
+    let (build_calls, build_bytes, _) = count_allocs(|| {
+        let mut actor =
+            Mlp::from_flat_params(&snapshot.sizes(), Activation::Tanh, &snapshot.actor_params);
+        actor.fold_inputs(&live);
+        actor
+    });
+    let param_bytes = (snapshot.actor_params.len() * std::mem::size_of::<f32>()) as u64;
     for version in [2, 3] {
         for &id in &wave_ids {
             sharded.begin_episode(id, &long_tasks).expect("restart episode");
@@ -375,7 +386,9 @@ fn hot_paths_are_allocation_free_after_warmup() {
         for p in &mut candidate.actor_params {
             *p *= 1.0 - 0.125 * version as f32;
         }
-        let ramp = sharded.publish(&candidate, 3 * wave_ids.len() as u64).expect("ramp starts");
+        let (publish_calls, publish_bytes, ramp) =
+            count_allocs(|| sharded.publish(&candidate, 3 * wave_ids.len() as u64));
+        let ramp = ramp.expect("ramp starts");
         let (calls, bytes, rounds) = count_allocs(|| {
             let mut rounds = 0;
             loop {
@@ -400,6 +413,11 @@ fn hot_paths_are_allocation_free_after_warmup() {
                 (calls, bytes),
                 (0, 0),
                 "a ramp's shadow and cutover waves allocated {calls} times / {bytes} bytes"
+            );
+            assert!(
+                publish_calls < build_calls && publish_bytes < 2 * param_bytes,
+                "publish allocated {publish_calls} times / {publish_bytes} bytes, one actor \
+                 build {build_calls} times / {build_bytes} bytes, parameters {param_bytes} bytes"
             );
         }
     }
