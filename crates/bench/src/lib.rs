@@ -134,30 +134,38 @@ fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Publishes a probe's bench record. `out` is pretty-written as one JSON
-/// object: a header of the manifest's fields plus [`git_commit`], then the
-/// fields of `body` (a JSON object). The same object, compacted to one
-/// line, is appended to the append-only `<stem>.history.jsonl` beside
-/// `out`, so every history line is a whole record.
+/// `results/<sweep>`'s scale suffix and a record's: `"_paper"`/`"-paper"`
+/// for a paper-scale manifest, empty otherwise, so a nightly paper run
+/// never overwrites the committed quick record.
+fn paper_suffix(manifest: &RunManifest, sep: char) -> String {
+    if manifest.scale == "paper" {
+        format!("{sep}paper")
+    } else {
+        String::new()
+    }
+}
+
+/// Publishes a probe's bench record. `out` names the quick-scale record;
+/// a paper-scale manifest writes `<stem>_paper.json` instead. The record
+/// ([`RunManifest::record`]: the manifest's fields plus [`git_commit`], then
+/// the fields of `body`) is pretty-written there, and the same object,
+/// compacted to one line, is appended to the append-only
+/// `<stem>.history.jsonl` beside it, so every history line is a whole
+/// record. Returns the record's path.
 ///
 /// A failed record write is an error (the probe exits nonzero); a failed
 /// history append is only a warning.
-pub fn publish_record(out: &str, manifest: &RunManifest, body: Json) -> io::Result<()> {
-    let (Json::Obj(mut fields), Json::Obj(body)) = (manifest.to_value(), body) else {
-        panic!("a bench record body is a JSON object");
-    };
-    fields.push(("git_commit".to_string(), git_commit().into()));
-    fields.extend(body);
-    for (i, (key, _)) in fields.iter().enumerate() {
-        assert!(fields[..i].iter().all(|(k, _)| k != key), "bench record repeats key {key}");
-    }
-    let record = Json::Obj(fields);
-    std::fs::write(out, record.pretty() + "\n")
-        .map_err(|e| io::Error::new(e.kind(), format!("{out}: {e}")))?;
-    eprintln!("# wrote {out}");
+pub fn publish_record(out: &str, manifest: &RunManifest, body: Json) -> io::Result<PathBuf> {
+    let out = Path::new(out);
+    let stem = out.file_stem().and_then(|s| s.to_str()).expect("a record file name");
+    let out = out.with_file_name(format!("{stem}{}.json", paper_suffix(manifest, '_')));
+    let record = manifest.record(&git_commit(), body);
+    std::fs::write(&out, record.pretty() + "\n")
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", out.display())))?;
+    eprintln!("# wrote {}", out.display());
 
     use std::io::Write;
-    let history = Path::new(out).with_extension("history.jsonl");
+    let history = out.with_extension("history.jsonl");
     let appended = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -167,7 +175,44 @@ pub fn publish_record(out: &str, manifest: &RunManifest, body: Json) -> io::Resu
         Ok(()) => eprintln!("# appended to {}", history.display()),
         Err(e) => eprintln!("# warning: could not append to {}: {e}", history.display()),
     }
-    Ok(())
+    Ok(out)
+}
+
+/// Publishes one eval sweep and exits with its gate's verdict: the record
+/// through [`publish_record`], the markdown `tables` to `md_path` (its
+/// directory suffixed `-paper` at paper scale) and to stderr for the CI
+/// log, then `# <gate> PASS` — or `# <gate> FAIL` and every violation, with
+/// exit status 1.
+pub fn publish_sweep(
+    out: &str,
+    manifest: &RunManifest,
+    body: Json,
+    md_path: &str,
+    tables: &str,
+    gate: &str,
+    violations: &[String],
+) -> ! {
+    let (dir, file) = md_path.rsplit_once('/').expect("a markdown path under a directory");
+    let dir = format!("{dir}{}", paper_suffix(manifest, '-'));
+    let md_path = Path::new(&dir).join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&md_path, tables)) {
+        Ok(()) => eprintln!("# wrote {}", md_path.display()),
+        Err(e) => eprintln!("# warning: could not write {}: {e}", md_path.display()),
+    }
+    if let Err(e) = publish_record(out, manifest, body) {
+        eprintln!("# error: could not write the record: {e}");
+        std::process::exit(1);
+    }
+    eprint!("{tables}");
+    if violations.is_empty() {
+        eprintln!("\n# {gate} PASS: all invariants hold");
+        std::process::exit(0);
+    }
+    eprintln!("\n# {gate} FAIL: {} violation(s)", violations.len());
+    for v in violations {
+        eprintln!("#   - {v}");
+    }
+    std::process::exit(1);
 }
 
 /// Prints a banner naming the experiment and scale, and returns the scale.
@@ -431,6 +476,15 @@ mod tests {
         )
         .is_err());
         assert_eq!(std::fs::read_to_string(dir.join("BENCH_unit.history.jsonl")).unwrap(), history);
+
+        // A paper-scale record never overwrites the quick one.
+        let paper = RunManifest { scale: "paper".into(), ..manifest };
+        let written = publish_record(out, &paper, Json::obj([("n", 4u64.into())])).unwrap();
+        assert_eq!(written, dir.join("BENCH_unit_paper.json"));
+        assert!(std::fs::read_to_string(&written).unwrap().contains("\"scale\": \"paper\""));
+        let paper_history = dir.join("BENCH_unit_paper.history.jsonl");
+        assert_eq!(std::fs::read_to_string(paper_history).unwrap().lines().count(), 1);
+        assert_eq!(std::fs::read_to_string(out).unwrap(), record);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,18 +18,15 @@
 //!   drawn from the *shifted* distribution, against a blind-random floor.
 
 use crate::family::WorkloadFamily;
-use crate::sweep::json::{ci, f64s, jf, strs};
 use crate::sweep::{
-    self, finite_mean, held_out_vs_random, paired_tests, pm, write_pair, Schedule, Sweep,
+    self, ci_value, finite_mean, held_out_vs_random, paired_tests, pm, Schedule, Sweep,
     ARRIVAL_COMPRESSION, PARTICIPATION_K,
 };
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::scenario::{adaptation_metrics, mean_curve, ScenarioBinding, ScenarioPlan};
 use pfrl_core::sim::{EnvConfig, VmSpec};
 use pfrl_core::stats::{BootstrapCi, SeedStream};
-use pfrl_core::telemetry::Telemetry;
-use std::io;
-use std::path::{Path, PathBuf};
+use pfrl_core::telemetry::{Json, Telemetry};
 
 /// Scales and arms of one drift sweep.
 #[derive(Debug, Clone)]
@@ -389,58 +386,46 @@ pub fn check_drift_invariants(report: &DriftReport) -> Vec<String> {
 }
 
 impl DriftReport {
-    /// The full report as a JSON document (hand-rolled, same idiom as
-    /// [`crate::report`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"scale\": {:?},\n", self.scale));
-        out.push_str(&format!("  \"root_seed\": {},\n", self.root_seed));
-        out.push_str(&format!("  \"n_seeds\": {},\n", self.n_seeds));
-        out.push_str(&format!("  \"shift_episode\": {},\n", self.shift_episode));
-        out.push_str(&format!("  \"window\": {},\n", self.window));
-        out.push_str(&format!("  \"confidence\": {},\n", self.confidence));
-        out.push_str("  \"arms\": [\n");
-        for (i, a) in self.arms.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arm\": {:?}, \"time_to_recover\": {}, \"ttr_ci\": {}, \"recovered_frac\": {}, \"post_shift_regret\": {}, \"regret_ci\": {}, \"final_reward\": {}, \"final_reward_ci\": {}, \"test_reward\": {}, \"test_reward_ci\": {}}}{}\n",
-                a.arm.name(),
-                f64s(&a.ttr, ","),
-                ci(&a.ttr_ci),
-                jf(a.recovered_frac),
-                f64s(&a.regret, ","),
-                ci(&a.regret_ci),
-                f64s(&a.final_reward, ","),
-                ci(&a.final_reward_ci),
-                f64s(&a.test_reward, ","),
-                ci(&a.test_reward_ci),
-                if i + 1 < self.arms.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"random_reward\": {},\n  \"random_reward_mean\": {},\n",
-            f64s(&self.random_reward, ","),
-            jf(self.random_reward_mean())
-        ));
-        out.push_str("  \"paired_tests\": [\n");
-        for (i, t) in self.comparisons.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"metric\": {:?}, \"a\": {:?}, \"b\": {:?}, \"mean_diff\": {}, \"p_raw\": {}, \"p_holm\": {}, \"n_used\": {}}}{}\n",
-                t.metric,
-                t.a,
-                t.b,
-                jf(t.mean_diff),
-                jf(t.p_raw),
-                jf(t.p_holm),
-                t.n_used,
-                if i + 1 < self.comparisons.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"nan_findings\": {}\n", strs(&self.nan_findings)));
-        out.push_str("}\n");
-        out
+    /// The full report as a record body, published as
+    /// `BENCH_drift_adaptation.json` by `drift_probe`. The scale and root
+    /// seed are the record header's (`scale`, `seed`).
+    pub fn to_value(&self) -> Json {
+        let arms = self.arms.iter().map(|a| {
+            Json::obj([
+                ("arm", a.arm.name().into()),
+                ("time_to_recover", Json::arr(a.ttr.iter().copied())),
+                ("ttr_ci", ci_value(&a.ttr_ci)),
+                ("recovered_frac", a.recovered_frac.into()),
+                ("post_shift_regret", Json::arr(a.regret.iter().copied())),
+                ("regret_ci", ci_value(&a.regret_ci)),
+                ("final_reward", Json::arr(a.final_reward.iter().copied())),
+                ("final_reward_ci", ci_value(&a.final_reward_ci)),
+                ("test_reward", Json::arr(a.test_reward.iter().copied())),
+                ("test_reward_ci", ci_value(&a.test_reward_ci)),
+            ])
+        });
+        let tests = self.comparisons.iter().map(|t| {
+            Json::obj([
+                ("metric", t.metric.into()),
+                ("a", t.a.as_str().into()),
+                ("b", t.b.as_str().into()),
+                ("mean_diff", t.mean_diff.into()),
+                ("p_raw", t.p_raw.into()),
+                ("p_holm", t.p_holm.into()),
+                ("n_used", t.n_used.into()),
+            ])
+        });
+        Json::obj([
+            ("n_seeds", self.n_seeds.into()),
+            ("shift_episode", self.shift_episode.into()),
+            ("window", self.window.into()),
+            ("confidence", self.confidence.into()),
+            ("arms", Json::arr(arms)),
+            ("random_reward", Json::arr(self.random_reward.iter().copied())),
+            ("random_reward_mean", self.random_reward_mean().into()),
+            ("paired_tests", Json::arr(tests)),
+            ("nan_findings", Json::arr(self.nan_findings.iter().cloned())),
+        ])
     }
 
     /// The drift tables as markdown.
@@ -495,16 +480,12 @@ impl DriftReport {
         }
         out
     }
-
-    /// Writes `DRIFT_RESULTS.json` and `DRIFT_RESULTS.md` under `dir`.
-    pub fn write_to(&self, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-        write_pair(dir, "DRIFT_RESULTS", &self.to_json(), &self.to_markdown())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::read;
 
     /// A two-seed micro-sweep over two arms — the full reduction path in
     /// seconds.
@@ -560,14 +541,35 @@ mod tests {
 
     #[test]
     fn drift_report_serializes() {
-        let report = run_drift(&micro_cfg());
-        let j = report.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"time_to_recover\""));
-        assert!(j.contains("\"paired_tests\""));
+        let mut report = run_drift(&micro_cfg());
+        let v = report.to_value();
+        let arms = read::items(read::get(&v, "arms"));
+        assert_eq!(arms.len(), report.arms.len());
+        for (a, want) in arms.iter().zip(&report.arms) {
+            read::assert_f64s(read::get(a, "time_to_recover"), &want.ttr);
+            read::assert_ci(read::get(a, "ttr_ci"), &want.ttr_ci);
+            read::assert_f64s(read::get(a, "post_shift_regret"), &want.regret);
+            read::assert_ci(read::get(a, "regret_ci"), &want.regret_ci);
+            read::assert_f64s(read::get(a, "final_reward"), &want.final_reward);
+            read::assert_ci(read::get(a, "final_reward_ci"), &want.final_reward_ci);
+            read::assert_f64s(read::get(a, "test_reward"), &want.test_reward);
+            read::assert_ci(read::get(a, "test_reward_ci"), &want.test_reward_ci);
+        }
+        read::assert_f64s(read::get(&v, "random_reward"), &report.random_reward);
+        let tests = read::items(read::get(&v, "paired_tests"));
+        assert_eq!(tests.len(), report.comparisons.len());
+        for (t, want) in tests.iter().zip(&report.comparisons) {
+            assert_eq!(read::num(read::get(t, "p_holm")).to_bits(), want.p_holm.to_bits());
+        }
+        read::published("drift_probe", v);
         let md = report.to_markdown();
         assert!(md.contains("time-to-recover"));
         assert!(md.contains("Blind random"));
+
+        report.arms[0].ttr[1] = f64::INFINITY;
+        report.arms[0].ttr_ci = None;
+        let text = read::published("drift_probe", report.to_value());
+        assert!(text.contains(r#", "inf"], "ttr_ci": null"#), "{text}");
     }
 
     #[test]

@@ -18,9 +18,13 @@
 //! * [`topk`] — dense vs top-k sparse attention on a cohort wider than k.
 //!
 //! Every config holds one training [`Schedule`] beside its [`Sweep`]
-//! budget. The `eval_gate` binary in `pfrl-bench` drives the matrix, top-k,
-//! and robustness sweeps at a fixed-seed quick scale and exits nonzero on
-//! any violation; `drift_probe` is the drift gate. The stepped-vs-event
+//! budget, and every report serializes once, through its `to_value`: the
+//! full evidence as one record body. Three binaries in `pfrl-bench` each
+//! run one sweep at a fixed-seed quick scale, publish its record
+//! (`BENCH_eval.json`, `BENCH_drift_adaptation.json`,
+//! `BENCH_robustness.json`; `_paper` at paper scale) and exit nonzero on
+//! any violation: `eval_gate` (the matrix and the top-k check),
+//! `drift_probe` and `robustness_probe`. The stepped-vs-event
 //! simulator equivalence is not a statistical question and is checked in
 //! the workspace's `tests/event_equivalence.rs`, not here.
 //!

@@ -1,72 +1,56 @@
-//! Serialization of an [`EvalReport`]: `RESULTS.json` (machine-readable,
-//! consumed by the docs pipeline) and `RESULTS.md` (the paper-style
-//! comparison tables with CI bars), through the [`crate::sweep`] emitters.
+//! Serialization of an [`EvalReport`]: one record value (every per-seed
+//! value, CI, random floor, paired test and non-finite finding, published
+//! as `BENCH_eval.json` by `eval_gate`) and `RESULTS.md` (the paper-style
+//! comparison tables with CI bars).
 
 use crate::matrix::{Cell, EvalReport, Metric};
-use crate::sweep::json::{ci, f64s, jf, strs};
-use crate::sweep::{pm, write_pair};
-use std::io;
-use std::path::{Path, PathBuf};
+use crate::sweep::{ci_value, pm};
+use pfrl_core::telemetry::Json;
 
 impl EvalReport {
-    /// The full report as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"scale\": {:?},\n", self.scale));
-        out.push_str(&format!("  \"root_seed\": {},\n", self.root_seed));
-        out.push_str(&format!("  \"n_seeds\": {},\n", self.n_seeds));
-        out.push_str(&format!("  \"confidence\": {},\n", self.confidence));
-        out.push_str(&format!("  \"resamples\": {},\n", self.resamples));
-
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"algorithm\": {:?}, \"family\": {:?}, \"metric\": {:?}, \"values\": {}, \"ci\": {}}}{}\n",
-                c.algorithm.name(),
-                c.family.name(),
-                c.metric.name(),
-                f64s(&c.values, ","),
-                ci(&c.ci),
-                if i + 1 < self.cells.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-
-        out.push_str("  \"random_dispatch\": [\n");
-        for (i, r) in self.random.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"family\": {:?}, \"reward\": {}, \"reward_mean\": {}, \"response\": {}, \"response_mean\": {}, \"load_balance\": {}}}{}\n",
-                r.family.name(),
-                f64s(&r.reward, ","),
-                jf(r.reward_mean()),
-                f64s(&r.response, ","),
-                jf(r.response_mean()),
-                f64s(&r.load_balance, ","),
-                if i + 1 < self.random.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-
-        out.push_str("  \"paired_tests\": [\n");
-        for (i, t) in self.comparisons.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"family\": {:?}, \"metric\": {:?}, \"a\": \"PFRL-DM\", \"b\": {:?}, \"mean_diff\": {}, \"p_raw\": {}, \"p_holm\": {}, \"n_used\": {}}}{}\n",
-                t.family.name(),
-                t.metric.name(),
-                t.baseline.name(),
-                jf(t.mean_diff),
-                jf(t.p_raw),
-                jf(t.p_holm),
-                t.n_used,
-                if i + 1 < self.comparisons.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-
-        out.push_str(&format!("  \"nan_findings\": {}\n", strs(&self.nan_findings)));
-        out.push_str("}\n");
-        out
+    /// The full report as a record body. The scale and root seed are the
+    /// record header's (`scale`, `seed`).
+    pub fn to_value(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj([
+                ("algorithm", c.algorithm.name().into()),
+                ("family", c.family.name().into()),
+                ("metric", c.metric.name().into()),
+                ("values", Json::arr(c.values.iter().copied())),
+                ("ci", ci_value(&c.ci)),
+            ])
+        });
+        let random = self.random.iter().map(|r| {
+            Json::obj([
+                ("family", r.family.name().into()),
+                ("reward", Json::arr(r.reward.iter().copied())),
+                ("reward_mean", r.reward_mean().into()),
+                ("response", Json::arr(r.response.iter().copied())),
+                ("response_mean", r.response_mean().into()),
+                ("load_balance", Json::arr(r.load_balance.iter().copied())),
+            ])
+        });
+        let tests = self.comparisons.iter().map(|t| {
+            Json::obj([
+                ("family", t.family.name().into()),
+                ("metric", t.metric.name().into()),
+                ("a", "PFRL-DM".into()),
+                ("b", t.baseline.name().into()),
+                ("mean_diff", t.mean_diff.into()),
+                ("p_raw", t.p_raw.into()),
+                ("p_holm", t.p_holm.into()),
+                ("n_used", t.n_used.into()),
+            ])
+        });
+        Json::obj([
+            ("n_seeds", self.n_seeds.into()),
+            ("confidence", self.confidence.into()),
+            ("resamples", self.resamples.into()),
+            ("cells", Json::arr(cells)),
+            ("random_dispatch", Json::arr(random)),
+            ("paired_tests", Json::arr(tests)),
+            ("nan_findings", Json::arr(self.nan_findings.iter().cloned())),
+        ])
     }
 
     /// One table cell as `mean ± halfwidth`.
@@ -153,12 +137,6 @@ impl EvalReport {
         }
         out
     }
-
-    /// Writes `RESULTS.json` and `RESULTS.md` under `dir`, returning both
-    /// paths.
-    pub fn write_to(&self, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-        write_pair(dir, "RESULTS", &self.to_json(), &self.to_markdown())
-    }
 }
 
 #[cfg(test)]
@@ -166,6 +144,7 @@ mod tests {
     use super::*;
     use crate::family::WorkloadFamily;
     use crate::matrix::{PairedComparison, RandomBaseline};
+    use crate::sweep::read;
     use pfrl_core::experiment::Algorithm;
     use pfrl_core::stats::bootstrap_mean_ci;
 
@@ -210,12 +189,26 @@ mod tests {
 
     #[test]
     fn json_contains_every_cell_and_balanced_braces() {
-        let j = synthetic_report().to_json();
-        assert_eq!(j.matches("\"algorithm\"").count(), 6);
-        assert!(j.contains("\"paired_tests\""));
-        assert!(j.contains("\"random_dispatch\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let r = synthetic_report();
+        let v = r.to_value();
+        let cells = read::items(read::get(&v, "cells"));
+        assert_eq!(cells.len(), 6);
+        for (c, want) in cells.iter().zip(&r.cells) {
+            assert_eq!(read::get(c, "algorithm"), &Json::from(want.algorithm.name()));
+            assert_eq!(read::get(c, "metric"), &Json::from(want.metric.name()));
+            read::assert_f64s(read::get(c, "values"), &want.values);
+            read::assert_ci(read::get(c, "ci"), &want.ci);
+        }
+        let floor = &read::items(read::get(&v, "random_dispatch"))[0];
+        read::assert_f64s(read::get(floor, "reward"), &r.random[0].reward);
+        read::assert_f64s(read::get(floor, "response"), &r.random[0].response);
+        read::assert_f64s(read::get(floor, "load_balance"), &r.random[0].load_balance);
+        let test = &read::items(read::get(&v, "paired_tests"))[0];
+        assert_eq!(read::num(read::get(test, "p_holm")).to_bits(), 0.25f64.to_bits());
+        assert_eq!(read::get(test, "b"), &Json::from("FedAvg"));
+        let text = read::published("eval_gate", v);
+        assert_eq!(text.matches('{').count(), text.matches('}').count());
+        assert_eq!(text.matches('[').count(), text.matches(']').count());
     }
 
     #[test]
@@ -223,9 +216,15 @@ mod tests {
         let mut r = synthetic_report();
         r.cells[0].values[0] = f64::NAN;
         r.cells[0].ci = None;
-        let j = r.to_json();
-        assert!(j.contains("\"NaN\""), "NaN must serialize as a string");
-        assert!(j.contains("\"ci\": null"));
+        r.nan_findings.push("PFRL-DM/\"het\": non-finite".into());
+        let v = r.to_value();
+        let cell = &read::items(read::get(&v, "cells"))[0];
+        assert!(read::num(&read::items(read::get(cell, "values"))[0]).is_nan());
+        assert_eq!(read::get(cell, "ci"), &Json::Null);
+        let text = read::published("eval_gate", v);
+        assert!(text.contains(r#""values": ["NaN", 11, 12]"#), "NaN must serialize as a string");
+        assert!(text.contains(r#""ci": null"#));
+        assert!(text.contains(r#""nan_findings": ["PFRL-DM/\"het\": non-finite"]"#), "{text}");
     }
 
     #[test]
@@ -238,14 +237,5 @@ mod tests {
         assert!(md.contains("Paired Wilcoxon"));
         assert!(md.contains("PFRL-DM"));
         assert!(md.contains("±"));
-    }
-
-    #[test]
-    fn write_to_emits_both_files() {
-        let dir = std::env::temp_dir().join(format!("pfrl-eval-report-{}", std::process::id()));
-        let (json, md) = synthetic_report().write_to(&dir).expect("write");
-        assert!(json.exists());
-        assert!(md.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,7 +17,7 @@
 //!   must stay inside the undefended (plain-mean) arm's CI: the screens
 //!   and trimmed mean may not change what an honest federation learns;
 //! * **honest evidence** — the undefended arm's degradation under attack
-//!   is *reported* (ROBUSTNESS_RESULTS.md, BENCH_robustness.json), never
+//!   is *reported* (`ROBUSTNESS_RESULTS.md`, `BENCH_robustness.json`), never
 //!   gated: whether a 30% coalition breaks a β = 0.2 trimmed mean is a
 //!   breakdown-point fact, not a regression.
 //!
@@ -25,17 +25,14 @@
 //! signal, not flakiness.
 
 use crate::family::WorkloadFamily;
-use crate::sweep::json::{ci, f64s, jf};
 use crate::sweep::{
-    self, held_out_vs_random, mean, sample_compressed, two_vm_cohort, write_pair, Schedule, Sweep,
+    self, ci_value, held_out_vs_random, mean, sample_compressed, two_vm_cohort, Schedule, Sweep,
 };
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::fed::{AttackPlan, RobustConfig};
 use pfrl_core::sim::{EnvConfig, VmSpec};
 use pfrl_core::stats::{BootstrapCi, SeedStream};
-use pfrl_core::telemetry::{InMemoryRecorder, Telemetry};
-use std::io;
-use std::path::{Path, PathBuf};
+use pfrl_core::telemetry::{InMemoryRecorder, Json, Telemetry};
 use std::sync::Arc;
 
 /// One named defense profile of the sweep.
@@ -512,69 +509,34 @@ pub fn check_robustness_invariants(report: &RobustnessReport) -> Vec<String> {
 }
 
 impl RobustnessReport {
-    /// Serializes the full evidence (hand-rolled JSON — no serde in the
-    /// dependency tree, see `report.rs`).
-    pub fn to_json(&self) -> String {
-        let arms: Vec<String> = self
-            .arms
-            .iter()
-            .map(|a| {
-                format!(
-                    concat!(
-                        "    {{\n",
-                        "      \"algorithm\": \"{algo}\",\n",
-                        "      \"defense\": \"{defense}\",\n",
-                        "      \"fraction\": {frac},\n",
-                        "      \"finals\": {finals},\n",
-                        "      \"final_ci\": {fci},\n",
-                        "      \"test_reward\": {test},\n",
-                        "      \"test_ci\": {tci},\n",
-                        "      \"attacked_per_rep\": {att},\n",
-                        "      \"screened_per_rep\": {scr},\n",
-                        "      \"evicted_per_rep\": {evi}\n",
-                        "    }}"
-                    ),
-                    algo = a.arm.algorithm.name(),
-                    defense = a.arm.defense.label,
-                    frac = jf(a.arm.fraction),
-                    finals = f64s(&a.finals, ", "),
-                    fci = ci(&a.final_ci),
-                    test = f64s(&a.test_reward, ", "),
-                    tci = ci(&a.test_ci),
-                    att = jf(a.attacked_per_rep),
-                    scr = jf(a.screened_per_rep),
-                    evi = jf(a.evicted_per_rep),
-                )
-            })
-            .collect();
-        let findings: Vec<String> =
-            self.nan_findings.iter().map(|f| format!("\"{}\"", f.replace('"', "'"))).collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scale\": \"{scale}\",\n",
-                "  \"root_seed\": {seed},\n",
-                "  \"n_seeds\": {n},\n",
-                "  \"fractions\": {fractions},\n",
-                "  \"gate_fraction\": {gate},\n",
-                "  \"confidence\": {conf},\n",
-                "  \"random_reward\": {floor},\n",
-                "  \"random_reward_mean\": {floor_mean},\n",
-                "  \"nan_findings\": [{findings}],\n",
-                "  \"arms\": [\n{arms}\n  ]\n",
-                "}}\n"
-            ),
-            scale = self.scale,
-            seed = self.root_seed,
-            n = self.n_seeds,
-            fractions = f64s(&self.fractions, ", "),
-            gate = self.gate_fraction.map_or("null".to_string(), jf),
-            conf = self.confidence,
-            floor = f64s(&self.random_reward, ", "),
-            floor_mean = jf(self.random_reward_mean()),
-            findings = findings.join(", "),
-            arms = arms.join(",\n"),
-        )
+    /// The full report as a record body, published as
+    /// `BENCH_robustness.json` by `robustness_probe`. The scale and root
+    /// seed are the record header's (`scale`, `seed`).
+    pub fn to_value(&self) -> Json {
+        let arms = self.arms.iter().map(|a| {
+            Json::obj([
+                ("algorithm", a.arm.algorithm.name().into()),
+                ("defense", a.arm.defense.label.into()),
+                ("fraction", a.arm.fraction.into()),
+                ("finals", Json::arr(a.finals.iter().copied())),
+                ("final_ci", ci_value(&a.final_ci)),
+                ("test_reward", Json::arr(a.test_reward.iter().copied())),
+                ("test_ci", ci_value(&a.test_ci)),
+                ("attacked_per_rep", a.attacked_per_rep.into()),
+                ("screened_per_rep", a.screened_per_rep.into()),
+                ("evicted_per_rep", a.evicted_per_rep.into()),
+            ])
+        });
+        Json::obj([
+            ("n_seeds", self.n_seeds.into()),
+            ("fractions", Json::arr(self.fractions.iter().copied())),
+            ("gate_fraction", self.gate_fraction.into()),
+            ("confidence", self.confidence.into()),
+            ("random_reward", Json::arr(self.random_reward.iter().copied())),
+            ("random_reward_mean", self.random_reward_mean().into()),
+            ("nan_findings", Json::arr(self.nan_findings.iter().cloned())),
+            ("arms", Json::arr(arms)),
+        ])
     }
 
     /// The human-readable summary table.
@@ -617,16 +579,12 @@ impl RobustnessReport {
         }
         md
     }
-
-    /// Writes `ROBUSTNESS_RESULTS.json` and `.md` under `dir`.
-    pub fn write_to(&self, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-        write_pair(dir, "ROBUSTNESS_RESULTS", &self.to_json(), &self.to_markdown())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::read;
     use pfrl_core::stats::bootstrap_mean_ci;
 
     fn arm(algorithm: Algorithm, defense: Defense, fraction: f64) -> RobustnessArm {
@@ -784,9 +742,42 @@ mod tests {
         assert!(attacked.attacked_per_rep > 0.0, "coalition never fired");
         let clean = a.arm(Algorithm::PfrlDm, "mean", 0.0).unwrap();
         assert_eq!(clean.attacked_per_rep, 0.0, "attack-free arm poisoned uploads");
-        let json = a.to_json();
-        assert!(json.contains("\"gate_fraction\""));
         let md = a.to_markdown();
         assert!(md.contains("Blind random"));
+    }
+
+    #[test]
+    fn report_value_holds_every_value_bit_for_bit() {
+        let mut r = synthetic(vec![10.5, 11.0, 11.5], vec![10.0, 11.0, 12.0]);
+        r.arms[1].attacked_per_rep = 1.0 / 3.0;
+        let v = r.to_value();
+        assert_eq!(read::num(read::get(&v, "gate_fraction")), 0.1);
+        read::assert_f64s(read::get(&v, "fractions"), &r.fractions);
+        read::assert_f64s(read::get(&v, "random_reward"), &r.random_reward);
+        let arms = read::items(read::get(&v, "arms"));
+        assert_eq!(arms.len(), r.arms.len());
+        for (a, want) in arms.iter().zip(&r.arms) {
+            assert_eq!(read::get(a, "defense"), &Json::from(want.arm.defense.label));
+            read::assert_f64s(read::get(a, "finals"), &want.finals);
+            read::assert_ci(read::get(a, "final_ci"), &want.final_ci);
+            read::assert_f64s(read::get(a, "test_reward"), &want.test_reward);
+            read::assert_ci(read::get(a, "test_ci"), &want.test_ci);
+            let attacked = read::num(read::get(a, "attacked_per_rep"));
+            assert_eq!(attacked.to_bits(), want.attacked_per_rep.to_bits());
+        }
+        read::published("robustness_probe", v);
+
+        // A collapsed arm and a skipped gate stay parseable.
+        r.arms[1].test_reward = vec![f64::NAN; 3];
+        r.arms[1].test_ci = None;
+        r.gate_fraction = None;
+        r.nan_findings.push("PFRL-DM/\"mean\"/0.10: zero placed".into());
+        let text = read::published("robustness_probe", r.to_value());
+        assert!(
+            text.contains(r#""test_reward": ["NaN", "NaN", "NaN"], "test_ci": null"#),
+            "{text}"
+        );
+        assert!(text.contains(r#""gate_fraction": null"#), "{text}");
+        assert!(text.contains(r#"["PFRL-DM/\"mean\"/0.10: zero placed"]"#), "{text}");
     }
 }

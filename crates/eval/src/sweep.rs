@@ -17,7 +17,8 @@
 //!   dispatch on identical tasks;
 //! * [`two_vm_cohort`] — a seeded heterogeneous cohort on small two-VM
 //!   fleets;
-//! * [`json`] and [`write_pair`] — the hand-rolled report emitters.
+//! * [`ci_value`] and [`pm`] — a CI as a record value and as a markdown
+//!   table cell.
 //!
 //! A sweep is then three parts: an arm table, a per-replication function,
 //! and an invariant function (see [`crate::matrix`], [`crate::drift`],
@@ -32,10 +33,9 @@ use pfrl_core::sim::{run_heuristic, CloudEnv, EnvConfig, EnvDims, HeuristicPolic
 use pfrl_core::stats::{
     bootstrap_mean_ci, holm_adjust, wilcoxon_signed_rank, BootstrapCi, SeedStream,
 };
+use pfrl_core::telemetry::Json;
 use pfrl_core::workloads::{DatasetId, TaskSpec};
 use rayon::prelude::*;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use crate::family::WorkloadFamily;
 
@@ -338,17 +338,6 @@ pub fn two_vm_cohort(n_clients: usize, samples: usize, pools: SeedStream) -> Vec
         .collect()
 }
 
-/// Writes `<stem>.json` and `<stem>.md` under `dir` (created if missing),
-/// returning both paths.
-pub fn write_pair(dir: &Path, stem: &str, json: &str, md: &str) -> io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("{stem}.json"));
-    let md_path = dir.join(format!("{stem}.md"));
-    std::fs::write(&json_path, json)?;
-    std::fs::write(&md_path, md)?;
-    Ok((json_path, md_path))
-}
-
 /// One CI as `mean ± half-width` for markdown tables (`NaN` when absent).
 pub fn pm(ci: &Option<BootstrapCi>) -> String {
     match ci {
@@ -357,41 +346,71 @@ pub fn pm(ci: &Option<BootstrapCi>) -> String {
     }
 }
 
-/// JSON fragments for the hand-assembled report files; numbers and CIs
-/// render through [`pfrl_core::telemetry::Json`], so one rule covers every
-/// report and bench record.
-pub mod json {
+/// One CI as a record value: `{"mean", "lo", "hi"}`, or `null` when absent.
+/// A non-finite bound renders as a string ([`Json::Num`]), so a record
+/// stays parseable even when the gate is about to fail on it.
+pub fn ci_value(c: &Option<BootstrapCi>) -> Json {
+    c.as_ref().map_or(Json::Null, |c| {
+        Json::obj([("mean", c.mean.into()), ("lo", c.lo.into()), ("hi", c.hi.into())])
+    })
+}
+
+/// Reads a record value back, for the reports' serialization tests.
+#[cfg(test)]
+pub(crate) mod read {
     use pfrl_core::stats::BootstrapCi;
-    use pfrl_core::telemetry::Json;
+    use pfrl_core::telemetry::{Json, RunManifest};
 
-    /// A finite f64 prints as itself; NaN/inf become JSON strings so the
-    /// file stays parseable even when the gate is about to fail on them.
-    pub fn jf(v: f64) -> String {
-        Json::Num(v).compact()
+    /// Field `key` of an object.
+    pub fn get<'a>(v: &'a Json, key: &str) -> &'a Json {
+        match v {
+            Json::Obj(fields) => {
+                &fields.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
+            }
+            other => panic!("{key} of a non-object {other:?}"),
+        }
     }
 
-    /// An array of [`jf`] values joined by `sep`.
-    pub fn f64s(values: &[f64], sep: &str) -> String {
-        let items: Vec<String> = values.iter().map(|&v| jf(v)).collect();
-        format!("[{}]", items.join(sep))
+    /// The elements of an array.
+    pub fn items(v: &Json) -> &[Json] {
+        match v {
+            Json::Arr(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
     }
 
-    /// A CI as `{"mean": …, "lo": …, "hi": …}`, or `null` when absent.
-    pub fn ci_value(c: &Option<BootstrapCi>) -> Json {
-        c.as_ref().map_or(Json::Null, |c| {
-            Json::obj([("mean", c.mean.into()), ("lo", c.lo.into()), ("hi", c.hi.into())])
-        })
+    /// The number `v` holds.
+    pub fn num(v: &Json) -> f64 {
+        match v {
+            Json::Num(x) => *x,
+            Json::Int(i) => *i as f64,
+            other => panic!("not a number: {other:?}"),
+        }
     }
 
-    /// [`ci_value`] on one line.
-    pub fn ci(c: &Option<BootstrapCi>) -> String {
-        ci_value(c).compact()
+    /// Panics unless `v` is an array of exactly `want`, bit for bit.
+    pub fn assert_f64s(v: &Json, want: &[f64]) {
+        let got: Vec<u64> = items(v).iter().map(|x| num(x).to_bits()).collect();
+        let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
-    /// An array of escaped JSON strings.
-    pub fn strs(items: &[String]) -> String {
-        let items: Vec<String> = items.iter().map(|s| format!("{s:?}")).collect();
-        format!("[{}]", items.join(","))
+    /// Panics unless `v` is `want`'s mean and bounds bit for bit, or `null`
+    /// for an absent CI.
+    pub fn assert_ci(v: &Json, want: &Option<BootstrapCi>) {
+        match want {
+            None => assert_eq!(v, &Json::Null),
+            Some(c) => {
+                let got = ["mean", "lo", "hi"].map(|k| num(get(v, k)).to_bits());
+                assert_eq!(got, [c.mean.to_bits(), c.lo.to_bits(), c.hi.to_bits()]);
+            }
+        }
+    }
+
+    /// `body` headed into a bench record under `run`'s manifest (which
+    /// panics on a repeated key), rendered on one line.
+    pub fn published(run: &str, body: Json) -> String {
+        RunManifest::new(run).with_seed(7).record("0000000", body).compact()
     }
 }
 
@@ -535,25 +554,22 @@ mod tests {
     }
 
     #[test]
-    fn json_helpers_keep_non_finite_parseable() {
-        assert_eq!(json::jf(1.5), "1.5");
-        assert_eq!(json::jf(f64::NAN), "\"NaN\"");
-        assert_eq!(json::f64s(&[1.0, f64::INFINITY], ", "), "[1, \"inf\"]");
-        assert_eq!(json::ci(&None), "null");
+    fn ci_values_keep_every_bound_and_non_finite_parseable() {
+        assert_eq!(ci_value(&None), Json::Null);
         let c =
             BootstrapCi { mean: 1.0, lo: 0.5, hi: f64::INFINITY, confidence: 0.95, resamples: 9 };
-        assert_eq!(json::ci(&Some(c)), r#"{"mean": 1, "lo": 0.5, "hi": "inf"}"#);
-        assert_eq!(json::strs(&["a\"b".to_string(), "c".into()]), r#"["a\"b","c"]"#);
+        assert_eq!(ci_value(&Some(c)).compact(), r#"{"mean": 1, "lo": 0.5, "hi": "inf"}"#);
+        let c = BootstrapCi { mean: 0.1 + 0.2, lo: -1e-300, hi: 7.0, ..c };
+        let Json::Obj(fields) = ci_value(&Some(c)) else { panic!("a CI is an object") };
+        let bits: Vec<u64> = fields
+            .iter()
+            .map(|(_, v)| match v {
+                Json::Num(x) => x.to_bits(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(bits, [c.mean.to_bits(), c.lo.to_bits(), c.hi.to_bits()]);
         assert_eq!(finite_mean(&[1.0, f64::NAN, 3.0]), 2.0);
         assert!(mean(&[1.0, f64::NAN]).is_nan() && mean(&[]).is_nan());
-    }
-
-    #[test]
-    fn write_pair_emits_both_files() {
-        let dir = std::env::temp_dir().join(format!("pfrl-eval-sweep-{}", std::process::id()));
-        let (j, m) = write_pair(&dir, "UNIT", "{}\n", "# unit\n").expect("write");
-        assert_eq!(std::fs::read_to_string(&j).unwrap(), "{}\n");
-        assert_eq!(m.file_name().unwrap(), "UNIT.md");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

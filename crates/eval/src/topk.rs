@@ -21,9 +21,10 @@ use pfrl_core::nn::MultiHeadConfig;
 use pfrl_core::replicate::replication_seed;
 use pfrl_core::sim::EnvConfig;
 use pfrl_core::stats::{BootstrapCi, SeedStream};
+use pfrl_core::telemetry::Json;
 
 use crate::family::WorkloadFamily;
-use crate::sweep::{self, mean, two_vm_cohort, Schedule, Sweep};
+use crate::sweep::{self, ci_value, mean, two_vm_cohort, Schedule, Sweep};
 
 /// One top-k equivalence run: cohort geometry, training schedule, and the
 /// CI the dense arm is reduced to.
@@ -88,6 +89,19 @@ impl TopkReport {
     /// Sample mean of the top-k arm (NaN if empty).
     pub fn topk_mean(&self) -> f64 {
         mean(&self.topk_finals)
+    }
+
+    /// The check as a record value (`eval_gate` publishes it beside the
+    /// matrix).
+    pub fn to_value(&self) -> Json {
+        Json::obj([
+            ("n_clients", self.n_clients.into()),
+            ("top_k", self.top_k.into()),
+            ("dense_finals", Json::arr(self.dense_finals.iter().copied())),
+            ("dense_ci", ci_value(&self.dense_ci)),
+            ("topk_finals", Json::arr(self.topk_finals.iter().copied())),
+            ("topk_mean", self.topk_mean().into()),
+        ])
     }
 }
 
@@ -154,6 +168,7 @@ pub fn check_topk_invariant(report: &TopkReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::read;
     use pfrl_core::stats::bootstrap_mean_ci;
 
     fn synthetic(dense: Vec<f64>, topk: Vec<f64>) -> TopkReport {
@@ -189,6 +204,17 @@ mod tests {
         assert!(check_topk_invariant(&r).iter().any(|m| m.contains("non-finite")));
         let r = synthetic(vec![10.0, f64::NAN, 12.0], vec![10.0, 11.0, 11.5]);
         assert!(check_topk_invariant(&r).iter().any(|m| m.contains("non-finite")));
+    }
+
+    #[test]
+    fn value_holds_both_arms_bit_for_bit() {
+        let r = synthetic(vec![10.0, 11.0, 12.0], vec![10.5, 1.0 / 3.0, f64::NEG_INFINITY]);
+        let v = r.to_value();
+        read::assert_f64s(read::get(&v, "dense_finals"), &r.dense_finals);
+        read::assert_ci(read::get(&v, "dense_ci"), &r.dense_ci);
+        read::assert_f64s(read::get(&v, "topk_finals"), &r.topk_finals);
+        let text = read::published("eval_gate", Json::obj([("topk", v)]));
+        assert!(text.contains(r#""-inf"], "topk_mean": "-inf"}"#), "{text}");
     }
 
     #[test]

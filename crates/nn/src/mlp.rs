@@ -34,6 +34,32 @@ impl InputFold {
         Self { live: (0..k).collect(), folded: Vec::with_capacity(k), bias }
     }
 
+    /// Makes `live` (strictly ascending below `k`) the fold's column list
+    /// and its complement the folded one, without recomputing `bias`;
+    /// `false` when `live` already is the fold.
+    ///
+    /// # Panics
+    /// If `live` is not strictly ascending below `k`.
+    fn declare(&mut self, live: &[usize], k: usize) -> bool {
+        if self.live == live {
+            return false;
+        }
+        assert!(
+            ops::is_row_list(live, k),
+            "fold_inputs: live columns must be strictly ascending below {k}"
+        );
+        self.live.clear();
+        self.live.extend_from_slice(live);
+        self.folded.clear();
+        let mut next = live.iter().peekable();
+        for p in 0..k {
+            if next.next_if_eq(&&p).is_none() {
+                self.folded.push(p);
+            }
+        }
+        true
+    }
+
     /// Recomputes `bias` from the layer's current parameters.
     fn refold(&mut self, layer: &Linear) {
         ops::fold_bias_into(&layer.w, &layer.b, &self.folded, &mut self.bias);
@@ -355,25 +381,20 @@ impl Mlp {
     /// # Panics
     /// If `live` is not strictly ascending below [`Mlp::in_dim`].
     pub fn fold_inputs(&mut self, live: &[usize]) {
-        let fold = &mut self.fold;
-        if fold.live == live {
-            return;
+        if self.fold.declare(live, self.layers[0].in_dim()) {
+            self.refold();
         }
-        let k = self.layers[0].in_dim();
-        assert!(
-            ops::is_row_list(live, k),
-            "fold_inputs: live columns must be strictly ascending below {k}"
-        );
-        fold.live.clear();
-        fold.live.extend_from_slice(live);
-        fold.folded.clear();
-        let mut next = live.iter().peekable();
-        for p in 0..k {
-            if next.next_if_eq(&&p).is_none() {
-                fold.folded.push(p);
-            }
-        }
-        fold.refold(&self.layers[0]);
+    }
+
+    /// [`Mlp::fold_inputs`] and [`Mlp::set_flat_params`] in one, computing
+    /// the folded bias once: reloading a network that served another fleet
+    /// costs one refold, not two.
+    ///
+    /// # Panics
+    /// As [`Mlp::fold_inputs`] and [`Mlp::set_flat_params`].
+    pub fn set_flat_params_folded(&mut self, params: &[f32], live: &[usize]) {
+        self.fold.declare(live, self.layers[0].in_dim());
+        self.set_flat_params(params);
     }
 
     /// The input columns the input layer reads ([`Mlp::fold_inputs`]; all
@@ -552,6 +573,24 @@ mod tests {
         // Redeclaring every column live restores the plain layer.
         net.fold_inputs(&[0, 1, 2]);
         assert_eq!(net.fold.bias, [p[6], p[7]]);
+    }
+
+    /// Loading a network folded for another fleet in one call equals
+    /// refolding and then loading, bit for bit.
+    #[test]
+    fn set_flat_params_folded_equals_fold_then_load() {
+        let params = mlp(&[4, 3, 2], 9).flat_params();
+        let (mut one, mut two) = (mlp(&[4, 3, 2], 1), mlp(&[4, 3, 2], 1));
+        for (old, new) in [(&[0, 1][..], &[1, 3][..]), (&[1, 3], &[1, 3]), (&[2], &[0, 1, 2, 3])] {
+            one.fold_inputs(old);
+            two.fold_inputs(old);
+            one.set_flat_params_folded(&params, new);
+            two.fold_inputs(new);
+            two.set_flat_params(&params);
+            assert_eq!(one.live_inputs(), new);
+            assert_eq!((&one.fold.folded, &one.fold.bias), (&two.fold.folded, &two.fold.bias));
+            assert_eq!(one.flat_params(), params);
+        }
     }
 
     #[test]

@@ -286,8 +286,7 @@ fn candidate_actor(core: &RampCore, live: &[usize], spares: &mut Vec<Spare>) -> 
     match spares.iter().rposition(|(sizes, _)| *sizes == core.sizes) {
         Some(i) => {
             let (_, mut actor) = spares.swap_remove(i);
-            actor.fold_inputs(live);
-            actor.set_flat_params(&core.params);
+            actor.set_flat_params_folded(&core.params, live);
             actor
         }
         None => build_actor(&core.sizes, &core.params, live),
